@@ -20,6 +20,15 @@ execution modes:
 
 All views derive from the same per-edge precomputation, so functional
 and analytic runs of the same iteration count identical events.
+
+Ordering invariant: edges are stored sorted by global order ID, and a
+subgraph, crossbar or block id is a non-decreasing function of that ID,
+so each of those per-edge id arrays is non-decreasing, and stays so
+under any frontier mask.  The analytic counts rely on it: distinct ids
+are a boundary count over runs, with no sort and no hashing.  Row keys
+and destinations are not ordered and are counted on a sorted copy.
+``np.unique`` is avoided on this path because without a ``return_*``
+flag numpy 2.3 and later hash, which costs far more than sorting.
 """
 
 from __future__ import annotations
@@ -34,6 +43,7 @@ from repro.core.config import GraphRConfig
 from repro.core.cost import IterationEvents
 from repro.errors import PartitionError
 from repro.graph.graph import Graph
+from repro.graph.partition import distinct_count, run_starts
 from repro.graph.preprocess import GraphROrdering, global_order_id
 
 __all__ = ["SubgraphStreamer", "Tile", "TileBatch"]
@@ -339,6 +349,15 @@ class SubgraphStreamer:
         with it: the coefficients are static across passes, so tiles are
         written once per subgraph step regardless of how many vectors
         are driven through them.
+
+        Distinct subgraphs, crossbar tiles and blocks are boundary
+        counts: their per-edge ids are non-decreasing in streaming
+        order (the module's ordering invariant), and a frontier mask
+        keeps that order.  Touched row keys and destinations are
+        counted on sorted copies; the streamer's own arrays are never
+        sorted in place, because with no frontier the mask selects them
+        whole.  None of this calls ``np.unique``, which hashes on numpy
+        2.3 and later when no ``return_*`` flag is given.
         """
         if frontier is None:
             mask = slice(None)
@@ -353,9 +372,11 @@ class SubgraphStreamer:
                 return IterationEvents()
 
         if self.config.skip_empty_subgraphs:
-            subgraphs = int(np.unique(self._subgraph_of_edge[mask]).size)
-            tiles = int(np.unique(self._crossbar_of_edge[mask]).size)
-            touched_rows = int(np.unique(self._rowkey_of_edge[mask]).size)
+            subgraphs = distinct_count(self._subgraph_of_edge[mask],
+                                       presorted=True)
+            tiles = distinct_count(self._crossbar_of_edge[mask],
+                                   presorted=True)
+            touched_rows = distinct_count(self._rowkey_of_edge[mask])
         else:
             # Ablation: without sparsity skipping, every subgraph slot is
             # streamed and every crossbar/row in it pays program/compute.
@@ -368,17 +389,15 @@ class SubgraphStreamer:
             presentations = touched_rows
         presentations *= work_factor
         s = self.config.crossbar_size
-        if frontier is None:
-            destinations = int(np.unique(self._dst).size)
-        else:
-            destinations = int(np.unique(self._dst[mask]).size)
+        destinations = distinct_count(self._dst[mask])
 
         # Selective block scan (optimisation study, off by default —
         # the paper's controller streams every block): with per-block
         # activity metadata, blocks without any active-source edge need
         # not be read from memory ReRAM at all.
         if self.config.selective_block_scan and frontier is not None:
-            active_blocks = np.unique(self._block_of_edge[mask])
+            blocks = self._block_of_edge[mask]
+            active_blocks = blocks[run_starts(blocks)]
             scanned = int(self._block_edge_counts[active_blocks].sum())
         else:
             scanned = int(self._gid.size)

@@ -23,7 +23,7 @@ from repro.errors import PartitionError
 from repro.graph.coo import COOMatrix
 
 __all__ = ["BlockPartition", "SubgraphGrid", "DualSlidingWindows",
-           "ceil_div", "pad_to_multiple"]
+           "ceil_div", "distinct_count", "pad_to_multiple", "run_starts"]
 
 
 def ceil_div(a: int, b: int) -> int:
@@ -41,6 +41,33 @@ def pad_to_multiple(n: int, multiple: int) -> int:
     zeros do not correspond to actual edges").
     """
     return ceil_div(n, multiple) * multiple
+
+
+def run_starts(values: np.ndarray) -> np.ndarray:
+    """Boolean mask of the first element of each run of equal values.
+
+    On a non-decreasing array every distinct value is one run, so
+    ``values[run_starts(values)]`` equals ``np.unique(values)``.
+    """
+    starts = np.empty(values.shape, dtype=bool)
+    starts[:1] = True
+    np.not_equal(values[1:], values[:-1], out=starts[1:])
+    return starts
+
+
+def distinct_count(values: np.ndarray, presorted: bool = False) -> int:
+    """Number of distinct values in a 1-D array, counted by sorting.
+
+    ``presorted`` declares ``values`` non-decreasing, which makes the
+    count a single boundary scan.  Otherwise a sorted *copy* is
+    scanned; the caller's array is never reordered.  ``np.unique``
+    without a ``return_*`` flag hashes on numpy 2.3 and later, which is
+    far slower than sorting on large integer keys.
+    """
+    values = np.asarray(values)
+    if not presorted:
+        values = np.sort(values)
+    return int(np.count_nonzero(run_starts(values)))
 
 
 @dataclass(frozen=True)
@@ -232,7 +259,7 @@ class SubgraphGrid:
             return 0
         si = np.asarray(block.rows) // self.tile_rows
         sj = np.asarray(block.cols) // self.tile_cols
-        return int(np.unique(si * self.grid_shape[1] + sj).size)
+        return distinct_count(si * self.grid_shape[1] + sj)
 
     def occupancy_histogram(self, block: COOMatrix) -> np.ndarray:
         """Edges per non-empty tile, sorted descending (diagnostics)."""

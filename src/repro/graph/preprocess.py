@@ -183,9 +183,7 @@ def preprocess_edge_list(coo: COOMatrix,
             f"over {ordering.num_vertices}"
         )
     ids = global_order_id(ordering, np.asarray(coo.rows), np.asarray(coo.cols))
-    if np.unique(ids).size != ids.size:
-        # Duplicate coordinates share an ID; keep a stable order for them.
-        perm = np.argsort(ids, kind="stable")
-    else:
-        perm = np.argsort(ids)
-    return coo.permuted(perm)
+    # Duplicate coordinates share an ID and keep their input order; with
+    # distinct IDs the sorted order is unique, so a stable sort yields
+    # the same permutation as any other.
+    return coo.permuted(np.argsort(ids, kind="stable"))

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import PartitionError
 from repro.graph.coo import COOMatrix
@@ -12,7 +14,9 @@ from repro.graph.partition import (
     DualSlidingWindows,
     SubgraphGrid,
     ceil_div,
+    distinct_count,
     pad_to_multiple,
+    run_starts,
 )
 
 
@@ -30,6 +34,18 @@ class TestHelpers:
         (0, 4, 0), (1, 4, 4), (4, 4, 4), (9, 4, 12)])
     def test_pad_to_multiple(self, n, m, expected):
         assert pad_to_multiple(n, m) == expected
+
+    @settings(max_examples=60, deadline=None)
+    @given(values=st.lists(st.integers(min_value=-5, max_value=5),
+                           max_size=30))
+    def test_distinct_count_matches_unique(self, values):
+        a = np.array(values, dtype=np.int64)
+        before = a.copy()
+        ordered = np.sort(a)
+        assert distinct_count(a) == np.unique(a).size
+        assert distinct_count(ordered, presorted=True) == np.unique(a).size
+        assert np.array_equal(ordered[run_starts(ordered)], np.unique(a))
+        assert np.array_equal(a, before)  # counted on a copy
 
 
 class TestBlockPartition:

@@ -2,14 +2,21 @@
 
 from __future__ import annotations
 
+from collections import Counter
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.algorithms.vertex_program import MappingPattern
 from repro.core.config import GraphRConfig
+from repro.core.cost import IterationEvents
 from repro.core.streaming import SubgraphStreamer
 from repro.errors import PartitionError
 from repro.graph.generators import rmat
+from repro.graph.graph import Graph
+from repro.graph.preprocess import global_order_id
 
 
 @pytest.fixture
@@ -162,3 +169,101 @@ class TestFunctionalAnalyticConsistency:
         le = large.iteration_events(MappingPattern.PARALLEL_MAC)
         assert le.tiles > se.tiles
         assert le.edges > se.edges
+
+
+@st.composite
+def _event_cases(draw):
+    """A small graph, a geometry and one iteration's arguments."""
+    n = draw(st.integers(min_value=1, max_value=24))
+    vertex = st.integers(min_value=0, max_value=n - 1)
+    edges = draw(st.lists(st.tuples(vertex, vertex), max_size=60))
+    # Repeat a prefix so parallel edges are common, not merely possible;
+    # self-loops, sinks and isolated vertices arise from the draw.
+    edges += edges[:draw(st.integers(min_value=0, max_value=len(edges)))]
+    cfg = GraphRConfig(
+        crossbar_size=draw(st.integers(min_value=1, max_value=4)),
+        crossbars_per_ge=draw(st.sampled_from([4, 8, 12])),
+        num_ges=draw(st.integers(min_value=1, max_value=3)),
+        block_size=draw(st.one_of(
+            st.none(), st.integers(min_value=1, max_value=10))),
+        skip_empty_subgraphs=draw(st.booleans()),
+        selective_block_scan=draw(st.booleans()),
+    )
+    random = np.array(draw(st.lists(st.booleans(), min_size=n,
+                                    max_size=n)), dtype=bool)
+    return (Graph.from_edges(edges, num_vertices=n), cfg,
+            draw(st.sampled_from(list(MappingPattern))),
+            draw(st.integers(min_value=1, max_value=4)), random)
+
+
+def _oracle_events(graph, cfg, o, pattern, frontier, work_factor):
+    """Brute-force :class:`IterationEvents` from Python sets over the
+    raw edge list, keyed by :func:`global_order_id` under ordering
+    ``o``."""
+    src = np.asarray(graph.adjacency.rows)
+    dst = np.asarray(graph.adjacency.cols)
+    gids = global_order_id(o, src, dst)
+    s = cfg.crossbar_size
+    b = o.block_size
+    per_tile = o.entries_per_subgraph
+    subgraphs, tiles, rows, dests, blocks = set(), set(), set(), set(), set()
+    block_edges = Counter()
+    edges = 0
+    for u, v, gid in zip(src.tolist(), dst.tolist(), gids.tolist()):
+        block_edges[(u // b, v // b)] += 1
+        if frontier is not None and not frontier[u]:
+            continue
+        edges += 1
+        sub, pos = divmod(gid, per_tile)
+        col, row = divmod(pos, s)
+        subgraphs.add(sub)
+        tiles.add((sub, col // s))
+        rows.add((sub, col // s, row))
+        dests.add(v)
+        blocks.add((u // b, v // b))
+    if frontier is not None and edges == 0:
+        return IterationEvents()
+    if cfg.skip_empty_subgraphs:
+        n_sub, n_tiles, n_rows = len(subgraphs), len(tiles), len(rows)
+    else:
+        side = -(-graph.num_vertices // b)
+        grid = -(-b // o.tile_rows) * -(-b // o.tile_cols)
+        n_sub = side * side * grid
+        n_tiles = n_sub * cfg.logical_crossbars
+        n_rows = n_tiles * s
+    addop = pattern is MappingPattern.PARALLEL_ADD_OP
+    presentations = (n_rows if addop else n_tiles) * work_factor
+    if cfg.selective_block_scan and frontier is not None:
+        scanned = sum(block_edges[key] for key in blocks)
+    else:
+        scanned = graph.num_edges
+    return IterationEvents(
+        edges=edges, scanned_edges=scanned, subgraphs=n_sub,
+        tiles=n_tiles, presentations=presentations, touched_rows=n_rows,
+        reduce_ops=presentations * s, apply_ops=len(dests), addop=addop)
+
+
+class TestEventOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(case=_event_cases())
+    def test_events_match_brute_force(self, case):
+        """Every field of every branch equals the set-based count, and
+        counting never reorders the streamer's own arrays."""
+        graph, cfg, pattern, work_factor, random = case
+        streamer = SubgraphStreamer(graph, cfg)
+        for ids in (streamer._subgraph_of_edge, streamer._crossbar_of_edge,
+                    streamer._block_of_edge):
+            assert np.all(ids[1:] >= ids[:-1])
+
+        n = graph.num_vertices
+        frontiers = [None, np.zeros(n, dtype=bool), np.ones(n, dtype=bool),
+                     random]
+        for frontier in frontiers:
+            expected = _oracle_events(graph, cfg, streamer.ordering,
+                                      pattern, frontier, work_factor)
+            got = streamer.iteration_events(pattern, frontier=frontier,
+                                            work_factor=work_factor)
+            fresh = SubgraphStreamer(graph, cfg).iteration_events(
+                pattern, frontier=frontier, work_factor=work_factor)
+            assert got == expected
+            assert fresh == expected
