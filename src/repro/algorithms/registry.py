@@ -6,6 +6,7 @@ list) and is the single lookup point the benchmark harness uses.
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass
 from typing import Callable, Dict, Tuple
 
@@ -96,23 +97,8 @@ _KERNELS: Dict[str, Callable[..., StreamKernel]] = {
 #: default to weighted generation for these).
 _WEIGHTED: Tuple[str, ...] = ("sssp", "sswp")
 
-#: Run kwargs forwarded to ``initial_properties`` in functional mode
-#: (every deployment filters with the same tuple).
+#: Run kwargs forwarded to ``initial_properties`` in functional mode.
 PROGRAM_INIT_KEYS: Tuple[str, ...] = ("source", "x", "seed")
-
-#: Program-constructor keywords, per algorithm; everything else in a
-#: run's kwargs goes to the reference call only.
-_CTOR_KEYS: Dict[str, Tuple[str, ...]] = {
-    "pagerank": ("damping", "tolerance"),
-    "bfs": ("source",),
-    "sssp": ("source",),
-    "spmv": (),
-    "cf": ("features", "epochs"),
-    "wcc": (),
-    "kcore": ("k",),
-    "sswp": ("source",),
-    "ppr": ("source", "damping", "tolerance"),
-}
 
 
 def list_algorithms() -> Tuple[str, ...]:
@@ -137,20 +123,27 @@ def get_program(name: str, **kwargs) -> VertexProgram:
 
 
 def resolve_program(algorithm, kwargs: Dict[str, object]):
-    """Split a run's kwargs into a constructed program + reference kwargs.
+    """Route a run's kwargs to the program, the reference and the
+    functional loop.
 
     ``algorithm`` may be a registered name or a ready
-    :class:`VertexProgram`.  The program is built with its constructor
-    keywords (``features=64`` reaches the CF program, so cost charging
-    sees the same parameters the reference computes with); the full
-    kwargs are returned for the reference call, which accepts them all.
-    Returns ``(program, reference_kwargs)``.
+    :class:`VertexProgram`.  A name is built with the keywords its
+    constructor's signature names (``features=64`` reaches the CF
+    program, so cost charging sees the same parameters the reference
+    computes with).  The reference call accepts the full kwargs; the
+    functional loop's ``initial_properties`` gets only
+    :data:`PROGRAM_INIT_KEYS`.  Returns ``(program, reference_kwargs,
+    init_kwargs)``.
     """
+    init_kwargs = {k: v for k, v in kwargs.items()
+                   if k in PROGRAM_INIT_KEYS}
     if isinstance(algorithm, VertexProgram):
-        return algorithm, dict(kwargs)
-    ctor_keys = _CTOR_KEYS.get(algorithm.lower(), ())
+        return algorithm, dict(kwargs), init_kwargs
+    cls = _PROGRAMS.get(algorithm.lower())
+    ctor_keys = inspect.signature(cls).parameters if cls else ()
     ctor_kwargs = {k: v for k, v in kwargs.items() if k in ctor_keys}
-    return get_program(algorithm, **ctor_kwargs), dict(kwargs)
+    return (get_program(algorithm, **ctor_kwargs), dict(kwargs),
+            init_kwargs)
 
 
 def get_stream_kernel(name: str) -> Callable[..., StreamKernel]:

@@ -19,15 +19,15 @@ Commands
     A finished job's stats.
 ``cache {stats,prune}``
     Inspect or size-bound a result-cache directory.
-``bench``
-    Run the pinned benchmark grid, write ``BENCH_<rev>.json`` and
-    (with ``--against BASELINE``) fail on phase-time regressions.
 ``figures [fig17|fig18|fig19|fig20|fig21|all]``
     Regenerate the paper's figures as text.
 ``tables [1|2|3]``
     Print the paper's tables.
 ``datasets``
     List the Table 3 dataset analogs.
+``lint [PATHS...]``
+    Check the repository invariants (REP1xx/REP2xx rules); exits 1 on
+    findings.
 
 ``run`` and ``figures`` accept ``--workers N`` (process-pool size) and
 ``--cache-dir PATH`` (persistent result cache); ``run``, ``batch`` and
@@ -38,9 +38,9 @@ single|out-of-core|multi-node`` with ``--block-size`` (out-of-core
 the same ``deployment`` object per entry for deployment-grid sweeps.
 The service commands (``submit``/``status``/``result``) take ``--url``
 (default ``http://127.0.0.1:8750``) to reach the daemon.  ``run``,
-``batch``, ``serve`` and ``bench`` accept ``--log-level`` and
-``--log-json`` to surface the telemetry log stream (correlation-id
-stamped, optionally JSON lines).
+``batch`` and ``serve`` accept ``--log-level`` and ``--log-json`` to
+surface the telemetry log stream (correlation-id stamped, optionally
+JSON lines).
 """
 
 from __future__ import annotations
@@ -188,27 +188,6 @@ def build_parser() -> argparse.ArgumentParser:
                              help="keep at most this many bytes")
     cache_prune.add_argument("--json", action="store_true",
                              help="print the evicted entries as JSON")
-
-    bench = sub.add_parser(
-        "bench", help="run the pinned benchmark grid and record "
-                      "per-phase timings")
-    bench.add_argument("--out", default=None,
-                       help="output path (default: BENCH_<rev>.json "
-                            "in the current directory)")
-    bench.add_argument("--against", default=None,
-                       help="baseline BENCH_*.json to gate against; "
-                            "exit 1 on any phase-time regression")
-    bench.add_argument("--threshold", type=float, default=0.25,
-                       help="fractional slowdown that counts as a "
-                            "regression (default: 0.25)")
-    bench.add_argument("--min-seconds", type=float, default=0.05,
-                       help="ignore phases whose baseline is below "
-                            "this (noise floor, default: 0.05)")
-    _add_runtime_flags(bench)
-    _add_logging_flags(bench)
-    bench.add_argument("--json", action="store_true",
-                       help="print the bench document (and any "
-                            "regressions) as JSON")
 
     figures = sub.add_parser("figures", help="regenerate paper figures")
     figures.add_argument("which", nargs="?", default="all",
@@ -615,56 +594,6 @@ def _cache_command(args: argparse.Namespace) -> int:
     return 0
 
 
-def _bench_command(args: argparse.Namespace) -> int:
-    from repro.experiments.bench import (BENCH_PHASES, bench_filename,
-                                         compare, load_bench,
-                                         run_bench, write_bench)
-
-    document = run_bench(workers=args.workers,
-                         cache_dir=args.cache_dir)
-    out_path = args.out or bench_filename(document["rev"])
-    write_bench(document, out_path)
-
-    regressions = []
-    if args.against:
-        baseline = load_bench(args.against)
-        regressions = compare(document, baseline,
-                              threshold=args.threshold,
-                              min_seconds=args.min_seconds)
-
-    if args.json:
-        print(json.dumps({
-            "bench": document,
-            "out": str(out_path),
-            "regressions": regressions,
-        }, indent=2))
-        return 1 if regressions else 0
-
-    from repro.experiments.report import render_table
-
-    header = ["workload", *BENCH_PHASES]
-    body = [[row["label"]]
-            + [f"{row['phases'][phase]:.4f}"
-               for phase in BENCH_PHASES]
-            for row in document["workloads"]]
-    print(render_table(header, body))
-    print(f"wrote {out_path} (rev {document['rev']})")
-    if args.against:
-        if regressions:
-            print(f"\n{len(regressions)} phase regression(s) against "
-                  f"{args.against}:", file=sys.stderr)
-            for reg in regressions:
-                print(f"  {reg['label']} {reg['phase']}: "
-                      f"{reg['baseline_s']:.4f}s -> "
-                      f"{reg['current_s']:.4f}s "
-                      f"({reg['ratio']:.2f}x)", file=sys.stderr)
-            return 1
-        print(f"no regressions against {args.against} "
-              f"(threshold {args.threshold:.0%}, noise floor "
-              f"{args.min_seconds}s)")
-    return 0
-
-
 def _figures_command(args: argparse.Namespace) -> int:
     from repro.experiments import (ExperimentRunner, figure17, figure18,
                                    figure19, figure20, figure21)
@@ -756,7 +685,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "status": _status_command,
         "result": _result_command,
         "cache": _cache_command,
-        "bench": _bench_command,
         "figures": _figures_command,
         "tables": _tables_command,
         "datasets": _datasets_command,

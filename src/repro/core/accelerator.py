@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import Optional, Tuple, Union
 
-from repro.algorithms.registry import PROGRAM_INIT_KEYS, resolve_program
+from repro.algorithms.registry import resolve_program
 from repro.algorithms.vertex_program import (AlgorithmResult,
                                              MappingPattern,
                                              VertexProgram)
@@ -106,7 +106,8 @@ class GraphR:
         (AlgorithmResult, RunStats)
             The computed values plus simulated time/energy.
         """
-        program, reference_kwargs = resolve_program(algorithm, kwargs)
+        program, reference_kwargs, init_kwargs = resolve_program(
+            algorithm, kwargs)
 
         controller = Controller(self.config, graph, program)
         max_iterations = kwargs.get("max_iterations")
@@ -114,10 +115,8 @@ class GraphR:
         if chosen == "auto":
             chosen = self._pick_mode(controller, program, max_iterations)
         if chosen == "functional":
-            program_kwargs = {k: v for k, v in kwargs.items()
-                              if k in PROGRAM_INIT_KEYS}
             result, stats = controller.run_functional(
-                max_iterations=max_iterations, **program_kwargs)
+                max_iterations=max_iterations, **init_kwargs)
         else:
             result, stats = controller.run_analytic(**reference_kwargs)
         stats.extra["config"] = config_summary(self.config)

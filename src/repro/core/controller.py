@@ -106,7 +106,7 @@ class Controller:
 
         work_factor = getattr(program, "features", 1) \
             if program.name == "cf" else 1
-        with tracing.span("merge",
+        with tracing.span("charge",
                           iterations=max(1, result.iterations)):
             if program.needs_active_list and result.trace.frontiers:
                 for frontier in result.trace.frontiers:

@@ -39,9 +39,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from repro.algorithms.registry import (PROGRAM_INIT_KEYS,
-                                       resolve_program,
-                                       run_reference)
+from repro.algorithms.registry import resolve_program, run_reference
 from repro.algorithms.vertex_program import AlgorithmResult
 from repro.core.accelerator import choose_execution_mode
 from repro.core.config import GraphRConfig
@@ -131,7 +129,8 @@ class MultiNodeGraphR:
         time is ``max`` over nodes plus the property exchange; energy
         sums every node's ledger plus link energy.
         """
-        program, reference_kwargs = resolve_program(algorithm, kwargs)
+        program, reference_kwargs, init_kwargs = resolve_program(
+            algorithm, kwargs)
         node_cfg = self.config.node
         if not node_cfg.skip_empty_subgraphs:
             # Per-stripe streamers each report the whole grid's slot
@@ -177,12 +176,10 @@ class MultiNodeGraphR:
                 graph_view=graph, out_degrees=graph.out_degrees(),
                 partitions=lambda: partitions,
             )
-            program_kwargs = {k: v for k, v in kwargs.items()
-                              if k in PROGRAM_INIT_KEYS}
             result, loop_seconds = runner.run(
                 lambda merged, per_node: charge_round(per_node),
                 max_iterations=kwargs.get("max_iterations"),
-                **program_kwargs)
+                **init_kwargs)
             seconds += loop_seconds
         else:
             with tracing.span("reference", algorithm=program.name):
@@ -208,7 +205,7 @@ class MultiNodeGraphR:
                         # like the single-node early return does.
                         per_node = [IterationEvents()
                                     for _ in per_node]
-                    with tracing.span("merge"):
+                    with tracing.span("charge"):
                         seconds += charge_round(per_node)
 
         stats.seconds = seconds

@@ -35,8 +35,7 @@ from typing import Dict, Iterator, List, Optional, Tuple, Union
 
 import numpy as np
 
-from repro.algorithms.registry import (PROGRAM_INIT_KEYS,
-                                       get_stream_kernel,
+from repro.algorithms.registry import (get_stream_kernel,
                                        resolve_program)
 from repro.core.accelerator import (choose_execution_mode,
                                     config_summary)
@@ -360,7 +359,8 @@ class OutOfCoreRunner:
         per-pass sequential block streaming (algorithm passes plus the
         one preprocessing scan).
         """
-        program, reference_kwargs = resolve_program(algorithm, kwargs)
+        program, reference_kwargs, init_kwargs = resolve_program(
+            algorithm, kwargs)
         if program.name == "cf":
             raise ConfigError(
                 "collaborative filtering is not supported out-of-core: "
@@ -406,7 +406,7 @@ class OutOfCoreRunner:
                                         reference_kwargs)
         else:
             result = self._run_functional(program, meta, cost, stats,
-                                          max_iterations, kwargs)
+                                          max_iterations, init_kwargs)
 
         stats.iterations = result.iterations
         stats.extra["mode"] = chosen
@@ -466,7 +466,7 @@ class OutOfCoreRunner:
                 else:
                     merged.apply_ops = int(np.count_nonzero(touched))
                 kernel.end_pass()
-                with tracing.span("merge"):
+                with tracing.span("charge"):
                     stats.seconds += cost.charge_iteration(
                         merged, stats.energy, stats.latency)
                 if it_span is not None:
@@ -480,7 +480,7 @@ class OutOfCoreRunner:
     def _run_functional(self, program, meta: _DiskMetadata,
                         cost: CostModel, stats: RunStats,
                         max_iterations: Optional[int],
-                        kwargs: Dict[str, object]):
+                        init_kwargs: Dict[str, object]):
         """Device-model execution over the block stream."""
         runner = PartitionedFunctionalRunner(
             self.config, program, self.manifest.num_vertices,
@@ -488,8 +488,6 @@ class OutOfCoreRunner:
             out_degrees=meta.out_degrees,
             partitions=self.iter_partitions,
         )
-        program_kwargs = {k: v for k, v in kwargs.items()
-                          if k in PROGRAM_INIT_KEYS}
 
         def charge(merged: IterationEvents, per_partition) -> float:
             # Accumulate straight into the stats so the floating-point
@@ -501,5 +499,5 @@ class OutOfCoreRunner:
             return seconds
 
         result, _ = runner.run(charge, max_iterations=max_iterations,
-                               **program_kwargs)
+                               **init_kwargs)
         return result

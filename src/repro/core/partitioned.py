@@ -422,7 +422,7 @@ class PartitionedFunctionalRunner:
                     else:
                         new_props, changed, merged, per_partition = \
                             self._addop_pass(properties, frontier)
-                with tracing.span("merge"):
+                with tracing.span("charge"):
                     seconds += charge(merged, per_partition)
                     trace.record(
                         vertices=(int(frontier.sum())

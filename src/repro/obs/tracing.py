@@ -1,7 +1,7 @@
 """Per-job span trees: where a simulation's wall-clock actually went.
 
 A trace is a tree of named :class:`Span`\\ s — submit → queue-wait →
-prepare/shard-attach → per-iteration sweeps → reduce/merge — keyed by a
+prepare/shard-attach → per-iteration sweeps → charge — keyed by a
 correlation id (the job content-key prefix).  The worker entry point
 opens the root with :func:`trace`; instrumented library code wraps its
 phases in :func:`span`, which attaches to whatever span is current on
@@ -106,19 +106,6 @@ class Span:
         if self.children:
             out["children"] = [c.to_dict() for c in self.children]
         return out
-
-    @staticmethod
-    def from_dict(payload: Dict[str, Any]) -> "Span":
-        """Rebuild a tree from :meth:`to_dict` output (bench tooling
-        reading traces back out of cached stats)."""
-        node = Span(str(payload.get("name", "")),
-                    correlation_id=payload.get("correlation_id"))
-        node.start_s = payload.get("start_s")
-        node.duration_s = payload.get("duration_s")
-        node.meta = dict(payload.get("meta", {}))
-        node.children = [Span.from_dict(c)
-                         for c in payload.get("children", [])]
-        return node
 
     def walk(self) -> Iterator["Span"]:
         """This span then every descendant, depth-first."""

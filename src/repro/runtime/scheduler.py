@@ -57,8 +57,8 @@ def attach_dataset(job: Job, residency: bool = False,
     With ``residency`` the graph comes from (or is published into) the
     host-wide shared-memory segment for that dataset; otherwise it is
     the classic per-process build.  Either way a cold build traces as
-    ``prepare`` and a warm hit as ``attach`` — so a warm resubmission
-    benches with its prepare phase collapsed to attach-only.
+    ``prepare`` and a warm hit as ``attach`` — so a warm resubmission's
+    trace shows an attach and no prepare.
     """
     from repro.runtime import residency as residency_mod
 

@@ -78,6 +78,11 @@ class ServiceHandler(BaseHTTPRequestHandler):
 
     def _read_json(self) -> object:
         length = int(self.headers.get("Content-Length") or 0)
+        if length < 0:
+            # read(-1) would block until the client hangs up, and the
+            # body's end is unknown, so the connection cannot be reused.
+            self.close_connection = True
+            raise RequestError(f"negative Content-Length {length}")
         raw = self.rfile.read(length) if length else b""
         if not raw:
             raise RequestError("empty request body")

@@ -2,13 +2,17 @@
 
 from __future__ import annotations
 
+import inspect
+
 import numpy as np
 import pytest
 
 from repro.algorithms.registry import (
+    PROGRAM_INIT_KEYS,
     TABLE2_ROWS,
     get_program,
     list_algorithms,
+    resolve_program,
     run_reference,
 )
 from repro.algorithms.vertex_program import (
@@ -58,6 +62,26 @@ class TestRegistry:
                 assert program.reduce_op == "add"
             assert program.needs_active_list == \
                 row.active_vertex_list_required
+
+
+#: A non-default value for every program-constructor keyword.
+CTOR_VALUES = {"source": 3, "damping": 0.7, "tolerance": 1e-5,
+               "features": 8, "epochs": 2, "k": 4}
+
+
+class TestResolveProgram:
+    @pytest.mark.parametrize("algorithm", list_algorithms())
+    def test_routes_every_kwarg(self, algorithm):
+        init_values = {"source": 3, "x": [1.0, 2.0], "seed": 7}
+        kwargs = dict(CTOR_VALUES, **init_values, max_iterations=5)
+        program, reference_kwargs, init_kwargs = resolve_program(
+            algorithm, kwargs)
+        for name in inspect.signature(type(program)).parameters:
+            assert getattr(program, name) == CTOR_VALUES[name]
+        assert reference_kwargs == kwargs
+        assert not hasattr(program, "max_iterations")
+        assert set(init_kwargs) == set(PROGRAM_INIT_KEYS)
+        assert init_kwargs == init_values
 
 
 class TestIterationTrace:

@@ -4,6 +4,7 @@ backend)."""
 from __future__ import annotations
 
 import json
+import socket
 import urllib.error
 import urllib.request
 
@@ -122,6 +123,19 @@ class TestAPI:
         with pytest.raises(urllib.error.HTTPError) as err:
             urllib.request.urlopen(request, timeout=10)
         assert err.value.code == 400
+
+    def test_negative_content_length_is_400(self, queue_only):
+        """``rfile.read(-1)`` would wait for the client to hang up; the
+        socket timeout turns such a hang into a failure."""
+        _, server, _ = queue_only
+        with socket.create_connection(server.server_address[:2],
+                                      timeout=5) as sock:
+            sock.sendall(b"POST /v1/jobs HTTP/1.1\r\n"
+                         b"Host: localhost\r\n"
+                         b"Content-Type: application/json\r\n"
+                         b"Content-Length: -1\r\n\r\n")
+            status_line = sock.makefile("rb").readline()
+        assert status_line.split()[1] == b"400"
 
     def test_invalid_job_entry_is_400(self, served):
         _, _, client = served

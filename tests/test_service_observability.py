@@ -217,7 +217,7 @@ class TestPersistedTraces:
         phases = names & {"queue-wait", "prepare", "attach",
                           "shard-build", "shard-attach",
                           "scan-metadata", "reference", "sweep",
-                          "merge", "iteration"}
+                          "charge", "iteration"}
         assert len(phases) >= 4, names
         assert "queue-wait" in names  # injected from store timestamps
         # queue-wait is the tree's first child: the submit→done story

@@ -35,7 +35,18 @@ DEPLOYMENTS = [
                  id="out-of-core"),
     pytest.param(DeploymentSpec(kind="multi-node", num_nodes=2), None,
                  id="multi-node"),
+    pytest.param(None, GraphRConfig(mode="analytic"),
+                 id="single-node-analytic"),
+    pytest.param(DeploymentSpec(kind="multi-node", num_nodes=2),
+                 GraphRConfig(mode="analytic"), id="multi-node-analytic"),
 ]
+
+
+def _span_names(node):
+    """Every span name in one serialized trace tree."""
+    yield node["name"]
+    for child in node.get("children", ()):
+        yield from _span_names(child)
 
 
 class TestContentKeys:
@@ -76,6 +87,9 @@ class TestBitIdenticalValues:
 
         traced = run("enabled")
         assert "trace" in traced.extra
+        names = set(_span_names(traced.extra["trace"]))
+        assert "charge" in names
+        assert "merge" not in names
 
         tracing.set_enabled(False)
         metrics.set_enabled(False)
