@@ -9,17 +9,27 @@ synchronous across subgraphs — destination updates become visible as
 source values in the *next* iteration, exactly the semantics of the
 frontier-driven Bellman-Ford reference.
 
-As in the MAC mapper, the default path stacks non-empty crossbar tiles
-into ``(batch, S, S)`` blocks for
-:meth:`~repro.core.engine.GraphEngine.addop_batch`; ``batch_size=0``
-runs the bit-identical per-tile loop.  Parallel edges merge with
-``min`` in both paths — the lightest of two parallel relaxations is
-the one that survives the comparator anyway.
+A positive batch size on an engine without read noise
+(:attr:`~repro.core.engine.GraphEngine.exact_addop_cells`) takes the
+cell path: each active edge forms the tile path's saturating candidate
+and one ``np.minimum.at`` (``np.maximum.at`` for widening) folds them
+all into the register; min/max do not depend on order, and the
+candidate is monotone in the weight, so this equals folding the merged
+parallel edges cell by cell.  Tiles and touched rows are counted from
+the active edges whose weight is stored (not the absent value).  Noisy
+engines stack non-empty crossbar tiles into ``(batch, S, S)`` blocks
+for :meth:`~repro.core.engine.GraphEngine.addop_batch`, and
+``batch_size=0`` runs the per-tile loop; all three are bit-identical.
+Parallel edges merge with ``min`` (``max`` for widening) in every path
+— only the winning candidate survives the comparator anyway.
 
-:func:`run_addop_scan` is the tile loop alone, folding into a
+:func:`run_addop_scan` is the scan alone, folding into a
 caller-provided padded register; the partitioned-execution layer runs
 one scan per partition of the same pass, so partitioned and
-whole-graph iterations execute the identical tile stream.
+whole-graph iterations execute the identical crossbar stream.  Columns
+no edge reaches are never folded on the cell path, where the tile path
+folds the identity into them: that is a no-op, because callers seed
+``accum`` with properties on the identity's side.
 """
 
 from __future__ import annotations
@@ -28,7 +38,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from repro.algorithms.vertex_program import VertexProgram
+from repro.algorithms.vertex_program import MappingPattern, VertexProgram
 from repro.core.cost import IterationEvents
 from repro.core.engine import GraphEngine
 from repro.core.streaming import SubgraphStreamer
@@ -48,7 +58,7 @@ def run_addop_scan(
     batch_size: Optional[int] = None,
     reduce_op: str = "min",
 ) -> IterationEvents:
-    """Stream one graph (or partition) of add-op tiles into ``accum``.
+    """Stream one graph (or partition) of add-op work into ``accum``.
 
     ``padded_dist`` holds the pass's (old) source values and ``accum``
     the folded candidates, both padded to ``padded_vertices +
@@ -65,6 +75,15 @@ def run_addop_scan(
 
     fold_at = np.minimum.at if reduce_op == "min" else np.maximum.at
     fold = np.minimum if reduce_op == "min" else np.maximum
+    if batch_size > 0 and engine.exact_addop_cells:
+        active, weights, sources, destinations = streamer.active_edges(
+            coefficients, frontier)
+        candidates, stored = engine.addop_cells(
+            weights, padded_dist[sources], absent, reduce_op)
+        fold_at(accum, destinations, candidates)
+        return streamer.cell_events(MappingPattern.PARALLEL_ADD_OP,
+                                    active, stored)
+
     events = IterationEvents()
     all_rows = np.arange(s)
     if batch_size > 0:

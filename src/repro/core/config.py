@@ -73,10 +73,14 @@ class GraphRConfig:
         functionally.  The batched engine streams tiles vectorised, so
         the default covers paper-scale runs (WV/SD PageRank and SSSP).
     functional_batch_size:
-        Non-empty ``S x S`` crossbar tiles stacked per batched engine
-        call in functional mode.  ``0`` selects the per-tile reference
-        loop (bit-identical to the batched path, kept for equivalence
-        testing and ablation).
+        Functional-mode pass path.  Any positive value runs clean
+        configs (no read noise; for MAC also no programming variation
+        or IR drop) on the cell path, which contracts programmed
+        crossbar cells without building dense tiles, and noisy or
+        variational configs on batches of this many non-empty
+        ``S x S`` crossbar tiles per engine call.  ``0`` selects the
+        per-tile reference loop.  All paths are bit-identical; the
+        per-tile loop is kept as the equivalence-testing oracle.
     mem_bandwidth_bps:
         Internal sequential bandwidth of the memory-ReRAM region
         feeding the GEs (edge fetch).

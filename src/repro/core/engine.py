@@ -8,20 +8,30 @@ dot products are computed exactly on the quantised codes, and optional
 Gaussian noise models analog read disturbance.  Unit tests assert this
 shortcut is bit-equivalent to composing the individual device models.
 
-The primitives are *batched*: :meth:`GraphEngine.mac_batch` and
+The tile primitives are *batched*: :meth:`GraphEngine.mac_batch` and
 :meth:`GraphEngine.addop_batch` take ``(B, S, W)`` stacks of dense
-tiles and contract a whole batch with a single einsum / fold, which is
-what lets the functional mode run paper-scale graphs.  The per-tile
-entry points (:meth:`mac_tile`, :meth:`addop_tile`) delegate to the
-batched kernels with ``B = 1``, so both granularities execute the
-exact same arithmetic (einsum reduction order, RNG draw order) and
+tiles and contract a whole batch with a single einsum / fold.  The
+per-tile entry points (:meth:`mac_tile`, :meth:`addop_tile`) delegate
+to the batched kernels with ``B = 1``, so both granularities execute
+the exact same arithmetic (einsum reduction order, RNG draw order) and
 stay bit-identical.
+
+A clean engine (no read noise; for MAC also no programming variation
+or IR drop, and column sums that stay below 2**53) skips the dense
+tiles altogether: :meth:`mac_cells` contracts only the programmed
+cells of a partition and :meth:`addop_cells` relaxes one candidate per
+edge.  :attr:`exact_mac_cells` / :attr:`exact_addop_cells` say when
+that is bit-identical to the tile path: integer-valued float64 column
+sums below 2**53 are exact in any order, the scales are powers of two,
+and min/max folds do not depend on order.  Noisy and variational
+engines keep the tiles, because their RNG draw order is part of the
+result.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Optional, Tuple
+from typing import TYPE_CHECKING, Optional, Tuple
 
 import numpy as np
 
@@ -32,7 +42,36 @@ from repro.obs import metrics
 from repro.reram.fixed_point import FixedPointFormat
 from repro.reram.variation import VariationModel
 
+if TYPE_CHECKING:
+    from repro.core.streaming import MacCells
+
 __all__ = ["GraphEngine"]
+
+#: Integers up to this bound are exact in float64.
+_EXACT_INTEGER_BOUND = 2 ** 53
+
+
+def _saturated_candidates(weights: np.ndarray, sources: np.ndarray,
+                          absent_value: float, reduce_op: str
+                          ) -> Tuple[np.ndarray, np.ndarray]:
+    """Saturating add-op candidates of cells holding ``weights`` driven
+    by ``sources`` (broadcast together), and the mask of absent cells.
+
+    ``"min"``: ``w + src``, with anything involving an absent cell
+    (``w >= absent``) pinned at the absent value.  ``"max"``:
+    ``min(w, src)``, with absent cells (``w <= absent``) pinned there.
+    """
+    if reduce_op == "min":
+        candidates = weights + sources
+        absent_cells = weights >= absent_value
+        candidates = np.where(absent_cells, absent_value, candidates)
+        candidates = np.minimum(candidates, absent_value)
+    else:
+        candidates = np.minimum(weights, sources)
+        absent_cells = weights <= absent_value
+        candidates = np.where(absent_cells, absent_value, candidates)
+        candidates = np.maximum(candidates, absent_value)
+    return candidates, absent_cells
 
 
 class GraphEngine:
@@ -176,18 +215,8 @@ class GraphEngine:
         src = np.asarray(source_values, dtype=np.float64)
         if w.ndim != 3 or src.shape != w.shape[:2]:
             raise DeviceError("weights/source shape mismatch")
-        if reduce_op == "min":
-            candidates = w + src[:, :, None]
-            # Saturating add: anything involving an absent cell stays
-            # absent.
-            absent_cells = w >= absent_value
-            candidates = np.where(absent_cells, absent_value, candidates)
-            candidates = np.minimum(candidates, absent_value)
-        else:
-            candidates = np.minimum(w, src[:, :, None])
-            absent_cells = w <= absent_value
-            candidates = np.where(absent_cells, absent_value, candidates)
-            candidates = np.maximum(candidates, absent_value)
+        candidates, absent_cells = _saturated_candidates(
+            w, src[:, :, None], absent_value, reduce_op)
         if active_mask is not None:
             candidates = np.where(active_mask[:, :, None], candidates,
                                   absent_value)
@@ -252,6 +281,68 @@ class GraphEngine:
                                        active_mask=mask,
                                        reduce_op=reduce_op)
         return out[0], events
+
+    # ------------------------------------------------------------------
+    # Cell path (clean engines)
+    # ------------------------------------------------------------------
+    @property
+    def exact_mac_cells(self) -> bool:
+        """True when :meth:`mac_cells` equals the MAC tile path bit for
+        bit: no read noise, no programming variation or IR drop, and a
+        crossbar column of full-scale codes sums below 2**53."""
+        cfg = self.config
+        return (cfg.noise_sigma <= 0 and self._variation is None
+                and cfg.crossbar_size * self.coeff_fmt.max_code
+                * self.input_fmt.max_code < _EXACT_INTEGER_BOUND)
+
+    @property
+    def exact_addop_cells(self) -> bool:
+        """True when :meth:`addop_cells` equals the add-op tile path bit
+        for bit: no read noise (:meth:`addop_batch` never applies
+        variation)."""
+        return self.config.noise_sigma <= 0
+
+    def mac_cells(self, cells: "MacCells",
+                  padded_inputs: np.ndarray) -> np.ndarray:
+        """Bitline sums of a partition's programmed cells, one per
+        (crossbar, column) segment of ``cells`` in crossbar order.
+
+        Each sum is an exact integer over the quantised codes (see
+        :attr:`exact_mac_cells`), scaled like :meth:`mac_batch`.
+        """
+        # Encoding is elementwise, so encode the register or just the
+        # inputs the cells read, whichever is smaller (out-of-core
+        # blocks read few).  The products are formed in place and freed
+        # before scaling: a pass holds at most one cell-sized
+        # temporary, so a worker's heap does not creep up across jobs.
+        if cells.sources.size < padded_inputs.size:
+            products = self.input_fmt.encode(padded_inputs[cells.sources])
+        else:
+            products = self.input_fmt.encode(padded_inputs)[cells.sources]
+        products *= cells.codes
+        raw = np.add.reduceat(products, cells.segment_starts)
+        del products
+        return raw * self.coeff_fmt.scale * self.input_fmt.scale
+
+    def addop_cells(self, weights: np.ndarray, source_values: np.ndarray,
+                    absent_value: float, reduce_op: str = "min"
+                    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Parallel-add-op candidates edge by edge.
+
+        Returns ``(candidates, stored)``: the saturating candidate
+        :meth:`addop_batch` forms for a cell holding each edge's weight,
+        and which edges hold a weight rather than the absent value.
+        Folding them per destination equals folding the tile path's
+        merged parallel edges, since the candidate is monotone in the
+        weight.
+        """
+        if reduce_op not in ("min", "max"):
+            raise DeviceError(f"unsupported add-op reduce {reduce_op!r}")
+        candidates, absent_cells = _saturated_candidates(
+            np.asarray(weights, dtype=np.float64),
+            np.asarray(source_values, dtype=np.float64),
+            absent_value, reduce_op)
+        return candidates, ~absent_cells
 
     # ------------------------------------------------------------------
     def _batch_events(self, stored: np.ndarray,

@@ -175,6 +175,7 @@ class MultiNodeGraphR:
                 node_cfg, program, graph.num_vertices,
                 graph_view=graph, out_degrees=graph.out_degrees(),
                 partitions=lambda: partitions,
+                persistent_partitions=True,
             )
             result, loop_seconds = runner.run(
                 lambda merged, per_node: charge_round(per_node),

@@ -23,10 +23,10 @@ This module is the machinery both runners drive:
   partitions, and inactive partitions still charge their sequential
   scan while globally-inactive passes charge nothing);
 * :class:`PartitionedFunctionalRunner` — the controller's functional
-  iteration loop over partition scans.  Partitions stream their tiles
-  in the same global order a whole-graph streamer produces, into the
-  same shared engine and accumulator, so partitioned functional runs
-  are bit-identical to single-node functional runs.
+  iteration loop over partition scans.  Partitions stream their
+  crossbars in the same global order a whole-graph streamer produces,
+  into the same shared engine and accumulator, so partitioned
+  functional runs are bit-identical to single-node functional runs.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ from repro.core.config import GraphRConfig
 from repro.core.cost import IterationEvents
 from repro.core.engine import GraphEngine
 from repro.core.mac_mapper import run_mac_scan
-from repro.core.streaming import SubgraphStreamer
+from repro.core.streaming import MacCells, SubgraphStreamer
 from repro.errors import ConfigError, MappingError
 from repro.graph.coo import COOMatrix
 from repro.graph.graph import Graph
@@ -280,10 +280,10 @@ class PartitionedFunctionalRunner:
         disk without retaining blocks.
     persistent_partitions:
         True when ``partitions`` returns the same objects every pass
-        (in-memory deployments): per-partition coefficients are then
-        computed once and cached.  Must stay False for streaming
-        providers — caching would accumulate O(graph) coefficient
-        arrays.
+        (in-memory deployments): per-partition coefficients, and the
+        MAC cells of the cell path, are then computed once and cached.
+        Must stay False for streaming providers — caching would
+        accumulate O(graph) arrays.
     """
 
     def __init__(self, config: GraphRConfig, program: VertexProgram,
@@ -306,6 +306,13 @@ class PartitionedFunctionalRunner:
         self.engine = engine or engine_for_program(config, program)
         self._coeff_cache: Optional[Dict[int, np.ndarray]] = \
             {} if persistent_partitions else None
+        self._cell_cache: Optional[Dict[int, MacCells]] = \
+            {} if persistent_partitions else None
+        mac = program.pattern is MappingPattern.PARALLEL_MAC
+        #: Whether the scans take the cell path (see the mappers).
+        self.cell_path = config.functional_batch_size > 0 and (
+            self.engine.exact_mac_cells if mac
+            else self.engine.exact_addop_cells)
         block = config.effective_block_size(self.num_vertices)
         # Same padding every partition's streamer derives.
         self._padded = -(-self.num_vertices // block) * block
@@ -323,6 +330,20 @@ class PartitionedFunctionalRunner:
             self._coeff_cache[partition.index] = coefficients
         return coefficients
 
+    def _mac_cells(self, partition: GraphPartition,
+                   coefficients: np.ndarray) -> Optional[MacCells]:
+        """The partition's programmed MAC cells, built on its first pass
+        when partitions persist (streamed ones build theirs in each
+        scan)."""
+        if not self.cell_path or self._cell_cache is None:
+            return None
+        cells = self._cell_cache.get(partition.index)
+        if cells is None:
+            cells = partition.streamer.mac_cells(coefficients,
+                                                 self.engine.coeff_fmt)
+            self._cell_cache[partition.index] = cells
+        return cells
+
     def _mac_pass(self, properties: np.ndarray):
         cfg = self.config
         n = self.num_vertices
@@ -335,10 +356,12 @@ class PartitionedFunctionalRunner:
         # Partitions are consumed one at a time and released — only
         # their (small) event records survive the loop.
         for partition in self.partitions():
+            coefficients = self._coefficients(partition)
             events = run_mac_scan(
                 partition.streamer, self.engine, padded_inputs, accum,
-                self._coefficients(partition), frontier=None,
-                batch_size=cfg.functional_batch_size)
+                coefficients, frontier=None,
+                batch_size=cfg.functional_batch_size,
+                cells=self._mac_cells(partition, coefficients))
             events.scanned_edges = partition.graph.num_edges
             events.apply_ops = partition.col_hi - partition.col_lo
             per_partition.append(events)
@@ -415,7 +438,8 @@ class PartitionedFunctionalRunner:
                 break
             iterations = iteration
             with tracing.span("iteration", index=iteration) as it_span:
-                with tracing.span("sweep"):
+                with tracing.span("sweep", path="cells" if self.cell_path
+                                  else "tiles"):
                     if program.pattern is MappingPattern.PARALLEL_MAC:
                         new_props, changed, merged, per_partition = \
                             self._mac_pass(properties)

@@ -10,9 +10,14 @@ execution modes:
 * :meth:`iter_tile_batches` — stacks consecutive non-empty ``S x S``
   crossbar tiles into dense ``(batch, S, S)`` blocks with one
   vectorised scatter over the preprocessed edge arrays (no per-tile
-  Python work), feeding the batched functional engine; crossbar
-  granularity is the hardware's sparsity skip — empty crossbars inside
-  a subgraph are never materialised;
+  Python work), feeding the functional engine of noisy and variational
+  configs and the per-tile oracle; crossbar granularity is the
+  hardware's sparsity skip — empty crossbars inside a subgraph are
+  never materialised;
+* :meth:`mac_cells` / :meth:`active_edges` — the functional cell path
+  of clean engines: a partition's programmed MAC cells (built once per
+  run), or one pass's active edges, with :meth:`cell_events` counting
+  the event record the tile path would have counted;
 * :meth:`iteration_events` — vectorised event extraction (non-empty
   subgraphs / crossbar tiles / touched rows / presentations) for the
   analytic cost path, optionally restricted to an active-source
@@ -45,8 +50,9 @@ from repro.errors import PartitionError
 from repro.graph.graph import Graph
 from repro.graph.partition import distinct_count, run_starts
 from repro.graph.preprocess import GraphROrdering, global_order_id
+from repro.reram.fixed_point import FixedPointFormat
 
-__all__ = ["SubgraphStreamer", "Tile", "TileBatch"]
+__all__ = ["MacCells", "SubgraphStreamer", "Tile", "TileBatch"]
 
 
 @dataclass
@@ -96,6 +102,26 @@ class TileBatch:
     def count(self) -> int:
         """Crossbar tiles stacked in this batch."""
         return int(self.dense.shape[0])
+
+
+@dataclass
+class MacCells:
+    """The programmed crossbar cells of one graph's MAC matrix.
+
+    One entry per cell whose parallel-edge coefficient sum encodes to a
+    non-zero code, in streaming order: ``codes`` in the narrowest
+    unsigned dtype that holds the format's codes, and ``sources``, the
+    source vertex that drives the cell's row.  ``segment_starts``
+    indexes the first cell of each (crossbar, column) segment and
+    ``destinations`` holds that column's vertex.  ``events`` is the
+    event record of every pass over the cells.
+    """
+
+    codes: np.ndarray
+    sources: np.ndarray
+    segment_starts: np.ndarray
+    destinations: np.ndarray
+    events: IterationEvents
 
 
 class SubgraphStreamer:
@@ -213,6 +239,13 @@ class SubgraphStreamer:
         cols = block_j * o.block_size + tile_j * o.tile_cols
         return rows, cols
 
+    def _active_mask(self, frontier: np.ndarray) -> np.ndarray:
+        """Per-edge (streaming order) mask of active-source edges."""
+        frontier = np.asarray(frontier, dtype=bool)
+        if frontier.shape != (self.graph.num_vertices,):
+            raise PartitionError("frontier length must equal |V|")
+        return frontier[self._src]
+
     def subgraph_origin(self, subgraph_index: int) -> tuple[int, int]:
         """Global (source, destination) vertex origin of a subgraph slot."""
         rows, cols = self._subgraph_origins(
@@ -289,10 +322,7 @@ class SubgraphStreamer:
         rows = self._row_in_tile
         cols = self._col_in_crossbar
         if frontier is not None:
-            frontier = np.asarray(frontier, dtype=bool)
-            if frontier.shape != (self.graph.num_vertices,):
-                raise PartitionError("frontier length must equal |V|")
-            keep = frontier[self._src]
+            keep = self._active_mask(frontier)
             values = values[keep]
             rows = rows[keep]
             cols = cols[keep]
@@ -338,6 +368,87 @@ class SubgraphStreamer:
             )
 
     # ------------------------------------------------------------------
+    def mac_cells(self, coefficients: np.ndarray,
+                  coeff_fmt: FixedPointFormat) -> MacCells:
+        """The programmed cells of this graph's MAC matrix.
+
+        ``coefficients`` is aligned with the original edge order, as
+        for :meth:`iter_tile_batches`.  Parallel edges share an order id,
+        so they are adjacent in streaming order; their coefficients sum
+        in that order with the same ``np.add.at`` the tile scatter uses,
+        and each sum is encoded once.  Cells whose code is zero are
+        never programmed, so they hold no entry and their tiles and rows
+        are not counted.
+        """
+        first = run_starts(self._gid)
+        cell_of_edge = np.cumsum(first, dtype=np.int32) - 1
+        sums = np.zeros(int(np.count_nonzero(first)))
+        np.add.at(sums, cell_of_edge,
+                  np.asarray(coefficients, dtype=np.float64)[self._perm])
+        del cell_of_edge
+        codes = coeff_fmt.encode(sums)
+        programmed = codes != 0
+        cells = np.flatnonzero(first)[programmed]
+        # A (crossbar, column) segment is a run of equal gid // S: the
+        # order within a subgraph is column-major.
+        segment_starts = np.flatnonzero(
+            run_starts(self._gid[cells] // self.config.crossbar_size))
+        return MacCells(
+            codes=codes[programmed].astype(
+                np.min_scalar_type(coeff_fmt.max_code)),
+            sources=self._src[cells].astype(np.int32),
+            segment_starts=segment_starts,
+            destinations=self._dst[cells[segment_starts]].astype(np.int32),
+            events=self.cell_events(MappingPattern.PARALLEL_MAC,
+                                    slice(None), cells),
+        )
+
+    def active_edges(self, coefficients: np.ndarray,
+                     frontier: Optional[np.ndarray] = None
+                     ) -> Tuple[object, np.ndarray, np.ndarray,
+                                np.ndarray]:
+        """``(active, weights, sources, destinations)`` of one pass's
+        active-source edges, in streaming order.
+
+        ``active`` selects those edges from the streaming order (all of
+        them when ``frontier`` is None) and is what :meth:`cell_events`
+        takes; ``coefficients`` is aligned with the original edge order.
+        """
+        if frontier is None:
+            active = slice(None)
+        else:
+            active = np.flatnonzero(self._active_mask(frontier))
+        weights = np.asarray(coefficients,
+                             dtype=np.float64)[self._perm[active]]
+        return active, weights, self._src[active], self._dst[active]
+
+    def cell_events(self, pattern: MappingPattern, active,
+                    stored) -> IterationEvents:
+        """The event record the tile path counts for one pass.
+
+        ``active`` selects the pass's edges from the streaming order and
+        ``stored``, among those, the edges whose cell holds a value.
+        Subgraphs count every active edge, as the tile scatter does;
+        crossbar tiles and touched rows count stored cells only, as the
+        engine's tile events do.
+        """
+        subgraphs = self._subgraph_of_edge[active]
+        tiles = distinct_count(self._crossbar_of_edge[active][stored],
+                               presorted=True)
+        touched_rows = distinct_count(self._rowkey_of_edge[active][stored])
+        mac = pattern is MappingPattern.PARALLEL_MAC
+        presentations = tiles if mac else touched_rows
+        return IterationEvents(
+            edges=int(subgraphs.size),
+            subgraphs=distinct_count(subgraphs, presorted=True),
+            tiles=tiles,
+            presentations=presentations,
+            touched_rows=touched_rows,
+            reduce_ops=presentations * self.config.crossbar_size,
+            addop=not mac,
+        )
+
+    # ------------------------------------------------------------------
     def iteration_events(self, pattern: MappingPattern,
                          frontier: Optional[np.ndarray] = None,
                          work_factor: int = 1) -> IterationEvents:
@@ -363,10 +474,7 @@ class SubgraphStreamer:
             mask = slice(None)
             edges = int(self._gid.size)
         else:
-            frontier = np.asarray(frontier, dtype=bool)
-            if frontier.shape != (self.graph.num_vertices,):
-                raise PartitionError("frontier length must equal |V|")
-            mask = frontier[self._src]
+            mask = self._active_mask(frontier)
             edges = int(np.count_nonzero(mask))
             if edges == 0:
                 return IterationEvents()

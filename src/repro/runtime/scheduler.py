@@ -29,6 +29,7 @@ so batch and service execution are bit-identical by construction.
 
 from __future__ import annotations
 
+import ctypes
 import multiprocessing
 import multiprocessing.util
 import sys
@@ -36,7 +37,7 @@ import time
 import traceback
 from collections import deque
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.errors import JobError
 from repro.hw.stats import RunStats
@@ -254,6 +255,47 @@ def _prepend_queue_wait(stats_dict: Dict[str, object],
             0, {"name": "queue-wait", "duration_s": wait_s})
 
 
+#: Free heap a worker may keep between jobs: glibc itself leaves up to
+#: 64 MB free at the top of its heap (twice its largest mmap threshold),
+#: and handing back less only costs the next job page faults.
+_KEPT_FREE_HEAP = 64 << 20
+
+
+class _MallInfo2(ctypes.Structure):
+    """glibc's ``struct mallinfo2``."""
+
+    _fields_ = [(name, ctypes.c_size_t) for name in (
+        "arena", "ordblks", "smblks", "hblks", "hblkhd", "usmblks",
+        "fsmblks", "uordblks", "fordblks", "keepcost")]
+
+
+def _heap_trimmer() -> Callable[[], None]:
+    """Hand a finished job's freed heap back to the OS (glibc only).
+
+    glibc returns freed memory to the OS only from the top of its heap.
+    A warm worker runs job after job, so one long-lived block allocated
+    near a job's peak (a first-use cache, a small buffer that numpy
+    keeps) holds every freed page below it resident for the rest of the
+    worker's life: 76 to 237 MB after one functional job on AZ.  Past
+    :data:`_KEPT_FREE_HEAP` of free heap, ``malloc_trim`` releases the
+    free pages wherever they lie.  A no-op without glibc.
+    """
+    try:
+        libc = ctypes.CDLL(None)
+        trim, info = libc.malloc_trim, libc.mallinfo2
+    except (AttributeError, OSError, TypeError):
+        return lambda: None
+    trim.argtypes = [ctypes.c_size_t]
+    trim.restype = ctypes.c_int
+    info.restype = _MallInfo2
+
+    def release() -> None:
+        if info().fordblks > _KEPT_FREE_HEAP:
+            trim(0)
+
+    return release
+
+
 def worker_loop(conn, cache_dir: Optional[str] = None,
                 residency: bool = False) -> None:
     """Warm-worker loop: ``(tag, payload)`` in, ``(tag, outcome)`` out.
@@ -274,6 +316,7 @@ def worker_loop(conn, cache_dir: Optional[str] = None,
         signal.signal(signal.SIGINT, signal.SIG_IGN)
     except (ValueError, OSError):  # pragma: no cover - exotic hosts
         pass
+    release_freed_heap = _heap_trimmer()
     while True:
         try:
             message = conn.recv()
@@ -288,6 +331,7 @@ def worker_loop(conn, cache_dir: Optional[str] = None,
                                             residency=residency)))
         except (BrokenPipeError, OSError):
             break
+        release_freed_heap()
 
 
 class WorkerCrash(RuntimeError):

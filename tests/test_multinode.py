@@ -115,3 +115,24 @@ class TestExecution:
         cluster = MultiNodeGraphR(MultiNodeConfig(num_nodes=1))
         _, multi = cluster.run("pagerank", graph, max_iterations=5)
         assert multi.seconds == pytest.approx(mono.seconds, rel=0.5)
+
+    def test_functional_stripes_set_up_once(self, graph, monkeypatch):
+        """Stripes are one fixed list, so each stripe's coefficients
+        (and cells) are built on the first pass and reused after it."""
+        from repro.algorithms.pagerank import PageRankProgram
+
+        calls = []
+        original = PageRankProgram.edge_coefficients
+
+        def counting(self, *args, **kwargs):
+            calls.append(1)
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(PageRankProgram, "edge_coefficients",
+                            counting)
+        cluster = MultiNodeGraphR(MultiNodeConfig(
+            num_nodes=3, node=GraphRConfig(mode="functional")))
+        result, stats = cluster.run("pagerank", graph, max_iterations=4)
+        assert stats.extra["mode"] == "multinode-functional"
+        assert result.iterations == 4
+        assert len(calls) == stats.extra["num_nodes"] == 3

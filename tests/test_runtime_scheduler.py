@@ -157,3 +157,55 @@ class TestJobResult:
         assert not empty.ok
         with pytest.raises(JobError):
             empty.unwrap()
+
+
+#: Run in a fresh interpreter, whose heap holds no holes yet: frees
+#: ``argv[1]`` 100 kB blocks (under glibc's mmap threshold, so
+#: heap-allocated) that small live blocks pin below the top, then prints
+#: resident anonymous memory before and after the worker's trimmer.
+_PINNED_HEAP = """
+import sys
+
+from repro.runtime.scheduler import _heap_trimmer
+
+def anon_mb():
+    with open("/proc/self/status") as fh:
+        for line in fh:
+            if line.startswith("RssAnon:"):
+                return int(line.split()[1]) / 1024
+
+block, pin = 100_000, 2000  # names, so no constant folding shares them
+blocks, pins = [], []
+for _ in range(int(sys.argv[1])):
+    blocks.append(b"x" * block)
+    pins.append(b"y" * pin)
+del blocks
+pinned = anon_mb()
+_heap_trimmer()()
+print(pinned, anon_mb(), len(pins))
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"),
+                    reason="reads the process's resident memory")
+@pytest.mark.parametrize("blocks,released", [(1000, True), (200, False)])
+def test_trimmer_hands_large_pinned_free_heap_back(blocks, released):
+    """Freed heap blocks that live blocks keep from the top of the heap
+    stay resident until the worker's trimmer releases them — once they
+    exceed the 64 MB of free heap a worker keeps."""
+    import ctypes
+    import subprocess
+
+    try:
+        ctypes.CDLL(None).mallinfo2
+    except AttributeError:
+        pytest.skip("the C library is not glibc 2.33 or later")
+    out = subprocess.run([sys.executable, "-c", _PINNED_HEAP,
+                          str(blocks)],
+                         capture_output=True, text=True, check=True,
+                         timeout=60).stdout
+    pinned, trimmed, _ = (float(x) for x in out.split())
+    if released:
+        assert pinned - trimmed > 60
+    else:
+        assert pinned - trimmed < 5

@@ -49,6 +49,14 @@ def _span_names(node):
         yield from _span_names(child)
 
 
+def _sweep_paths(node):
+    """The ``path`` of every ``sweep`` span in one trace tree."""
+    if node["name"] == "sweep":
+        yield node.get("meta", {}).get("path")
+    for child in node.get("children", ()):
+        yield from _sweep_paths(child)
+
+
 class TestContentKeys:
     def test_key_is_independent_of_telemetry_state(self):
         job = Job("pagerank", "WV",
@@ -103,6 +111,20 @@ class TestBitIdenticalValues:
         # Strip the (wall-clock) trace; everything simulated must be
         # bit-identical.
         assert traced.identity_dict() == plain.identity_dict()
+
+    def test_sweep_span_names_the_pass_path(self, tmp_path):
+        """Clean functional runs sweep programmed cells; noisy ones
+        keep the dense tile batches, and their sweeps say so."""
+        def sweep_paths(config):
+            runner = BatchRunner(cache_dir=tmp_path / str(config.noise_sigma))
+            stats = runner.run("pagerank", "WV", config=config,
+                               max_iterations=2)
+            return set(_sweep_paths(stats.extra["trace"]))
+
+        clean = GraphRConfig(mode="functional")
+        assert sweep_paths(clean) == {"cells"}
+        noisy = clean.with_overrides(noise_sigma=0.5)
+        assert sweep_paths(noisy) == {"tiles"}
 
     def test_direct_engine_runs_carry_no_trace(self):
         # Library users calling execute_job outside the job runtime
