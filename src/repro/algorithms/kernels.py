@@ -12,8 +12,8 @@ the in-memory reference performs.
 Chunked ``np.add.at`` / ``np.minimum.at`` scatters applied in stream
 order are element-for-element the same operation sequence as one call
 over the concatenated arrays, so a kernel driven over the ordered
-block files produces **bit-identical** values to its reference run on
-the ordered edge list (min-based kernels are order-independent and
+shard's chunks produces **bit-identical** values to its reference run
+on the ordered edge list (min-based kernels are order-independent and
 match the unordered reference too).  Only O(|V|) state — property,
 degree and frontier vectors — lives across chunks.
 """

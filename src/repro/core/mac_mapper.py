@@ -49,7 +49,7 @@ def run_mac_scan(
     engine: GraphEngine,
     padded_inputs: np.ndarray,
     accum: np.ndarray,
-    coefficients: np.ndarray,
+    coefficients: Optional[np.ndarray],
     frontier: Optional[np.ndarray] = None,
     batch_size: Optional[int] = None,
     cells: Optional[MacCells] = None,
@@ -60,7 +60,8 @@ def run_mac_scan(
     length ``padded_vertices + tile_cols`` shared across every scan of
     the same pass; the per-vertex ``apply`` step is the caller's job.
     ``cells`` are the streamer's :meth:`~SubgraphStreamer.mac_cells`
-    for these coefficients, when the caller keeps them across passes.
+    for these coefficients, when the caller keeps them across passes;
+    the cell path then never reads ``coefficients``, which may be None.
     Returns the scan's tile/edge events (``scanned_edges`` and
     ``apply_ops`` are pass-level quantities the caller charges).
     """

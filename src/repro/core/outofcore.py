@@ -1,37 +1,54 @@
-"""Out-of-core GraphR workflow (Figure 9), with explicit disk blocks.
+"""Out-of-core GraphR workflow (Figure 9): one packed, streaming-ordered
+shard, read back in multi-block chunks.
 
 The paper's deployment: a software framework preprocesses the edge list
-once, stores it on disk ordered by block/subgraph (Section 3.4), and a
-GraphR node consumes one block at a time over sequential I/O.  This
+once, stores it on disk in block/subgraph order (Section 3.4), and a
+GraphR node consumes it block by block over sequential I/O.  This
 module makes that pipeline concrete:
 
-* :func:`prepare_on_disk` — preprocess a graph and write one binary
-  file per block into a directory (the "disk");
-* :class:`OutOfCoreRunner` — iterate an algorithm by streaming blocks
-  from that directory **one at a time** (never reassembling the edge
-  list: peak in-memory edge residency is O(block) — at most two blocks
-  during the load handover — measured by a garbage-collection-tracking
-  ``peak_edge_residency`` counter in ``stats.extra``), running the
-  accelerator per block, and charging disk I/O time/energy (which the
-  paper's execution-time numbers exclude — the runner reports both
-  views).
+* :func:`prepare_on_disk` — sort the edge list into streaming order
+  once (:func:`~repro.graph.preprocess.preprocess_edge_list`) and write
+  it as raw little-endian columns (``src``/``dst`` int32, ``values``
+  float64), next to int64 per-block edge offsets, the out-degree
+  vector and a JSON manifest (written last) holding the two per-block
+  facts a run needs before it reads an edge: the non-empty subgraph
+  census and the largest block's edge count;
+* :class:`OutOfCoreRunner` — validate the shard once when it opens
+  (offsets monotone and ending at ``num_edges``, column file sizes,
+  degree table length and sum), then serve every pass as *chunks*:
+  runs of consecutive blocks holding at most ``max_block_edges``
+  edges, each read with one positioned read per column, checked edge
+  by edge against the blocks its offset range names, and executed as
+  one partition.  Disk I/O time/energy is charged on top (the paper's
+  execution-time numbers exclude it, so the runner reports both views).
 
-Blocks stream in the global column-major block order, so the node's
+Chunks stream in the global column-major block order, so the node's
 tile stream is the same sequence a whole-graph run produces; analytic
 values come from the algorithm's chunked
 :class:`~repro.algorithms.kernels.StreamKernel` and functional values
 from the shared partitioned loop, and both are bit-identical to
 in-memory runs on the same preprocessed edge list (asserted by tests).
-Blocking changes where the data lives, never what is computed.
+Chunking only regroups that one stream: subgraph, tile and row ids are
+global, so event counts sum exactly, and ``ufunc.at`` calls in stream
+order equal one call.
+
+Two residency figures are kept apart.  ``stats.extra
+["peak_edge_residency"]`` is the modelled node's: it consumes one block
+at a time and holds block ``k - 1`` while ``k`` loads, so it is derived
+from the block edge counts (see :func:`node_edge_residency`).
+:attr:`OutOfCoreRunner.peak_edge_residency` is the host's, measured by
+a garbage-collection-tracking counter over the chunks actually held; it
+stays at most two chunks, hence ``2 * max_block_edges``.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import weakref
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Tuple, Union
+from typing import Dict, Iterator, Optional, Tuple, Union
 
 import numpy as np
 
@@ -51,21 +68,43 @@ from repro.core.streaming import SubgraphStreamer
 from repro.errors import ConfigError, GraphFormatError
 from repro.graph.coo import COOMatrix
 from repro.graph.graph import Graph
-from repro.graph.io import load_binary, save_binary
-from repro.graph.partition import BlockPartition
-from repro.graph.preprocess import GraphROrdering, preprocess_edge_list
+from repro.graph.partition import distinct_count
+from repro.graph.preprocess import (GraphROrdering, global_order_id,
+                                    preprocess_edge_list)
 from repro.hw.params import DiskParams
 from repro.hw.stats import RunStats
 from repro.obs import metrics, tracing
 
-__all__ = ["prepare_on_disk", "OutOfCoreRunner", "BlockManifest"]
+__all__ = ["LAYOUT_VERSION", "prepare_on_disk", "plan_chunks",
+           "node_edge_residency", "OutOfCoreRunner", "BlockManifest"]
+
+#: Version of the on-disk layout below; the manifest records it and the
+#: runner refuses any other.
+LAYOUT_VERSION = 2
 
 _MANIFEST = "manifest.json"
+#: Per-edge columns in streaming order: file name and little-endian dtype.
+_COLUMNS: Dict[str, Tuple[str, str]] = {
+    "src": ("src.i32", "<i4"),
+    "dst": ("dst.i32", "<i4"),
+    "values": ("values.f64", "<f8"),
+}
+#: ``blocks + 1`` int64 edge offsets, block ``k`` owning
+#: ``[offsets[k], offsets[k + 1])`` (column-major block order).
+_OFFSETS = "offsets.i64"
+#: Global out-degree per vertex, int64.
+_DEGREES = "degrees.i64"
 
 
 @dataclass(frozen=True)
 class BlockManifest:
-    """What :func:`prepare_on_disk` wrote."""
+    """What :func:`prepare_on_disk` wrote.
+
+    ``nonempty_subgraphs`` counts the distinct non-empty subgraphs plus
+    one per empty block, the census of a node that builds one streamer
+    per block (an empty streamer reports one subgraph); it feeds auto
+    mode and ``stats.extra``.  ``max_block_edges`` bounds every chunk.
+    """
 
     name: str
     num_vertices: int
@@ -73,259 +112,282 @@ class BlockManifest:
     block_size: int
     blocks_per_side: int
     weighted: bool
-    files: Tuple[str, ...]
+    nonempty_subgraphs: int
+    max_block_edges: int
 
 
 def prepare_on_disk(graph: Graph, directory: Union[str, Path],
                     config: GraphRConfig) -> BlockManifest:
-    """Preprocess ``graph`` and persist it block by block.
+    """Preprocess ``graph`` once and persist it as one packed shard.
 
-    Each ``B x B`` vertex block becomes one binary file holding its
-    edges in streaming-apply order; a JSON manifest ties them together.
+    The streaming-ordered edge list is written column by column; the
+    per-block offsets come from one ``bincount``/``cumsum`` over the
+    edges' column-major block ids.  The manifest is written last.
     """
+    n = graph.num_vertices
+    if n >= 2 ** 31:
+        raise ConfigError(
+            f"{graph.name}: {n} vertices do not fit the shard's int32 "
+            f"vertex columns")
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    block = config.effective_block_size(graph.num_vertices)
+    block = config.effective_block_size(n)
     ordering = GraphROrdering(
-        num_vertices=graph.num_vertices,
+        num_vertices=n,
         block_size=block,
         crossbar_size=config.crossbar_size,
         crossbars_per_ge=config.logical_crossbars_per_ge,
         num_ges=config.num_ges,
     )
     ordered = preprocess_edge_list(graph.adjacency, ordering)
-    partition = BlockPartition(graph.num_vertices, block)
-
     rows = np.asarray(ordered.rows)
     cols = np.asarray(ordered.cols)
-    values = np.asarray(ordered.values)
-    files: List[str] = []
-    for bi, bj in partition.iter_blocks():
-        lo_r, hi_r = bi * block, (bi + 1) * block
-        lo_c, hi_c = bj * block, (bj + 1) * block
-        mask = ((rows >= lo_r) & (rows < hi_r)
-                & (cols >= lo_c) & (cols < hi_c))
-        piece = COOMatrix((graph.num_vertices, graph.num_vertices),
-                          rows[mask], cols[mask], values[mask])
-        filename = f"block_{bi}_{bj}.bin"
-        save_binary(Graph(adjacency=piece, name=filename,
-                          weighted=graph.weighted),
-                    directory / filename)
-        files.append(filename)
+    side = ordering.blocks_per_side
+    counts = np.bincount(rows // block + side * (cols // block),
+                         minlength=side * side)
+    subgraphs = global_order_id(ordering, rows, cols) \
+        // ordering.entries_per_subgraph
+
+    rows.astype("<i4").tofile(directory / _COLUMNS["src"][0])
+    cols.astype("<i4").tofile(directory / _COLUMNS["dst"][0])
+    np.asarray(ordered.values).astype("<f8").tofile(
+        directory / _COLUMNS["values"][0])
+    np.concatenate(([0], np.cumsum(counts))).astype("<i8").tofile(
+        directory / _OFFSETS)
+    np.bincount(rows, minlength=n).astype("<i8").tofile(
+        directory / _DEGREES)
 
     manifest = BlockManifest(
         name=graph.name,
-        num_vertices=graph.num_vertices,
+        num_vertices=n,
         num_edges=graph.num_edges,
         block_size=block,
-        blocks_per_side=partition.blocks_per_side,
+        blocks_per_side=side,
         weighted=graph.weighted,
-        files=tuple(files),
+        nonempty_subgraphs=(distinct_count(subgraphs, presorted=True)
+                            + int(np.count_nonzero(counts == 0))),
+        max_block_edges=int(counts.max()),
     )
-    (directory / _MANIFEST).write_text(json.dumps({
-        "name": manifest.name,
-        "num_vertices": manifest.num_vertices,
-        "num_edges": manifest.num_edges,
-        "block_size": manifest.block_size,
-        "blocks_per_side": manifest.blocks_per_side,
-        "weighted": manifest.weighted,
-        "files": list(manifest.files),
-    }, indent=2))
+    (directory / _MANIFEST).write_text(json.dumps(
+        dict(asdict(manifest), layout=LAYOUT_VERSION), indent=2))
     return manifest
 
 
 def _read_manifest(directory: Path) -> BlockManifest:
-    payload = json.loads((directory / _MANIFEST).read_text())
-    return BlockManifest(
-        name=payload["name"],
-        num_vertices=payload["num_vertices"],
-        num_edges=payload["num_edges"],
-        block_size=payload["block_size"],
-        blocks_per_side=payload["blocks_per_side"],
-        weighted=payload["weighted"],
-        files=tuple(payload["files"]),
-    )
+    path = directory / _MANIFEST
+    try:
+        payload = json.loads(path.read_text())
+        layout = payload.get("layout")
+        if layout != LAYOUT_VERSION:
+            raise GraphFormatError(
+                f"{path}: shard layout {layout!r}, this reader needs "
+                f"{LAYOUT_VERSION}; re-run prepare_on_disk")
+        return BlockManifest(**{field.name: payload[field.name]
+                                for field in fields(BlockManifest)})
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        raise GraphFormatError(f"{path}: malformed manifest ({exc})") \
+            from exc
 
 
-@dataclass
-class _DiskMetadata:
-    """Vertex-level facts gathered by the preprocessing scan."""
+def plan_chunks(offsets: np.ndarray, max_edges: int) -> np.ndarray:
+    """Block boundaries of the chunks one pass reads.
 
-    out_degrees: np.ndarray
-    nonempty_subgraphs: int
-    max_block_edges: int
+    Chunk ``c`` covers blocks ``[bounds[c], bounds[c + 1])``: greedily as
+    many consecutive blocks as hold at most ``max_edges`` edges, and at
+    least one block, so a bound below the largest block still advances.
+    One ``searchsorted`` per chunk, none per block.
+    """
+    last = offsets.size - 1
+    bounds = [0]
+    while bounds[-1] < last:
+        lo = bounds[-1]
+        hi = int(np.searchsorted(offsets, offsets[lo] + max_edges,
+                                 side="right")) - 1
+        bounds.append(min(max(hi, lo + 1), last))
+    return np.asarray(bounds, dtype=np.int64)
+
+
+def node_edge_residency(block_edges: np.ndarray, wrap: bool) -> int:
+    """Peak edges a block-at-a-time node holds, from its block sizes.
+
+    The node keeps block ``k - 1`` while block ``k`` loads, so the peak
+    is the largest neighbouring pair (or the first block alone).  With
+    ``wrap`` the last block of one pass is also still held while the
+    next pass loads block 0, as the analytic sweep's handover does
+    between passes.
+    """
+    counts = np.asarray(block_edges, dtype=np.int64)
+    if counts.size == 0:
+        return 0
+    peak = int(counts[0])
+    if counts.size > 1:
+        peak = max(peak, int((counts[1:] + counts[:-1]).max()))
+    if wrap:
+        peak = max(peak, int(counts[-1] + counts[0]))
+    return peak
 
 
 class OutOfCoreRunner:
-    """Drive a GraphR node over a block directory (Figure 9).
+    """Drive a GraphR node over a prepared shard (Figure 9).
 
-    The runner streams the block files in global (column-major) block
-    order — verifying per-block integrity on the way — executes the
-    algorithm one block at a time in the configuration's execution
-    mode, and adds the disk-side costs: every pass streams all blocks
-    from disk sequentially.  Only the vertex property arrays and the
-    block in flight (plus its predecessor during the handover) are
-    ever resident.
+    Opening the runner validates the shard once: offsets, column sizes
+    and the degree table.  Each pass then streams the shard in global
+    (column-major) block order as chunks of consecutive blocks
+    (:attr:`chunk_bounds`), checks every chunk's edges against its
+    blocks, executes the algorithm chunk by chunk in the configuration's
+    execution mode, and adds the disk-side costs: every pass streams the
+    whole shard sequentially.  Only the vertex property arrays and the
+    chunk in flight (plus its predecessor during the handover) are ever
+    resident.
     """
 
     def __init__(self, directory: Union[str, Path],
                  config: GraphRConfig | None = None,
-                 disk: DiskParams | None = None,
-                 mmap_blocks: bool = False) -> None:
+                 disk: DiskParams | None = None) -> None:
         self.directory = Path(directory)
-        #: Attach block files as zero-copy read-only mmap views instead
-        #: of heap copies.  The block files are immutable content-keyed
-        #: artifacts, so this changes only where the bytes live; the
-        #: residency counter still counts each block's edges the same
-        #: way and every computed value is bit-identical.
-        self.mmap_blocks = bool(mmap_blocks)
         if not (self.directory / _MANIFEST).exists():
             raise ConfigError(
                 f"{self.directory} has no manifest; run prepare_on_disk"
             )
         self.manifest = _read_manifest(self.directory)
-        side = self.manifest.blocks_per_side
-        if len(self.manifest.files) != side ** 2:
-            raise GraphFormatError(
-                f"manifest lists {len(self.manifest.files)} block files "
-                f"for a {side}x{side} grid"
-            )
         self.config = config or GraphRConfig(mode="analytic")
         self.disk = disk or DiskParams()
-        self._metadata: Optional[_DiskMetadata] = None
+        self._offsets, self._out_degrees = self._open_shard()
+        #: Block boundaries of each pass's chunks (see
+        #: :func:`plan_chunks`); replacing it regroups the stream
+        #: without changing any result.
+        self.chunk_bounds = plan_chunks(self._offsets,
+                                        self.manifest.max_block_edges)
         self._resident_edges = 0
         self._peak_residency = 0
 
     # ------------------------------------------------------------------
     @property
     def peak_edge_residency(self) -> int:
-        """Most edge records held in memory at once so far."""
+        """Most edge records this process held at once so far."""
         return self._peak_residency
 
-    def _validate_block(self, index: int, piece: Graph) -> None:
-        """Per-block integrity: vertex space and block bounds."""
-        manifest = self.manifest
-        filename = manifest.files[index]
-        if piece.num_vertices != manifest.num_vertices:
+    def _table(self, filename: str, length: int) -> np.ndarray:
+        """A whole int64 side table, checked for its length."""
+        path = self.directory / filename
+        if not path.is_file():
+            raise GraphFormatError(f"{path}: missing")
+        table = np.fromfile(path, dtype="<i8")
+        if table.size != length:
             raise GraphFormatError(
-                f"{filename}: vertex count mismatch with manifest"
-            )
-        side = manifest.blocks_per_side
-        block = manifest.block_size
-        bi, bj = index % side, index // side
-        rows = np.asarray(piece.adjacency.rows)
-        cols = np.asarray(piece.adjacency.cols)
-        if rows.size == 0:
-            return
-        if (rows.min() < bi * block or rows.max() >= (bi + 1) * block
-                or cols.min() < bj * block
-                or cols.max() >= (bj + 1) * block):
+                f"{path}: {table.size} entries, expected {length}")
+        return table
+
+    def _open_shard(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Validate the shard's layout once; returns its offsets and
+        out-degree table."""
+        m = self.manifest
+        side = m.blocks_per_side
+        if m.block_size <= 0 or side != -(-m.num_vertices // m.block_size):
             raise GraphFormatError(
-                f"{filename}: edges outside block ({bi}, {bj}) bounds "
-                f"[{bi * block}, {(bi + 1) * block}) x "
-                f"[{bj * block}, {(bj + 1) * block})"
-            )
+                f"{self.directory}: {side} blocks per side do not tile "
+                f"{m.num_vertices} vertices in blocks of {m.block_size}")
+        offsets = self._table(_OFFSETS, side * side + 1)
+        counts = np.diff(offsets)
+        if offsets[0] != 0 or offsets[-1] != m.num_edges:
+            raise GraphFormatError(
+                f"{self.directory / _OFFSETS}: offsets span "
+                f"[{offsets[0]}, {offsets[-1]}], manifest says "
+                f"{m.num_edges} edges")
+        if (counts < 0).any():
+            raise GraphFormatError(
+                f"{self.directory / _OFFSETS}: offsets are not monotone")
+        if counts.max() != m.max_block_edges:
+            raise GraphFormatError(
+                f"{self.directory / _OFFSETS}: largest block holds "
+                f"{counts.max()} edges, manifest says {m.max_block_edges}")
+        for filename, dtype in _COLUMNS.values():
+            path = self.directory / filename
+            expected = m.num_edges * np.dtype(dtype).itemsize
+            size = path.stat().st_size if path.is_file() else None
+            if size != expected:
+                raise GraphFormatError(
+                    f"{path}: {size} bytes, expected {expected} for "
+                    f"{m.num_edges} edges")
+        degrees = self._table(_DEGREES, m.num_vertices)
+        if (degrees < 0).any() or degrees.sum() != m.num_edges:
+            raise GraphFormatError(
+                f"{self.directory / _DEGREES}: degrees sum to "
+                f"{degrees.sum()}, manifest says {m.num_edges} edges")
+        return offsets, degrees.astype(np.int64)
+
+    def _column(self, name: str, start: int, count: int) -> np.ndarray:
+        filename, dtype = _COLUMNS[name]
+        data = np.fromfile(self.directory / filename, dtype=dtype,
+                           count=count,
+                           offset=start * np.dtype(dtype).itemsize)
+        if data.size != count:
+            raise GraphFormatError(
+                f"{self.directory / filename}: truncated at edge "
+                f"{start + data.size}")
+        return data
+
+    def _read_chunk(self, lo: int, hi: int) -> Graph:
+        """Blocks ``[lo, hi)`` as one graph, each edge checked to lie in
+        the block its offset range names."""
+        m = self.manifest
+        block, side = m.block_size, m.blocks_per_side
+        start = int(self._offsets[lo])
+        count = int(self._offsets[hi]) - start
+        src = self._column("src", start, count).astype(np.int64)
+        dst = self._column("dst", start, count).astype(np.int64)
+        values = self._column("values", start, count)
+        expected = np.repeat(np.arange(lo, hi, dtype=np.int64),
+                             np.diff(self._offsets[lo:hi + 1]))
+        wrong = np.flatnonzero(src // block + side * (dst // block)
+                               != expected)
+        if wrong.size:
+            k = int(wrong[0])
+            bj, bi = divmod(int(expected[k]), side)
+            raise GraphFormatError(
+                f"{self.directory}: edge {start + k} "
+                f"({src[k]} -> {dst[k]}) lies outside block ({bi}, {bj}) "
+                f"bounds [{bi * block}, {(bi + 1) * block}) x "
+                f"[{bj * block}, {(bj + 1) * block})")
+        n = m.num_vertices
+        return Graph(adjacency=COOMatrix((n, n), src, dst, values),
+                     name=f"{m.name}#blocks{lo}-{hi}",
+                     weighted=m.weighted)
 
     def _release_edges(self, num_edges: int) -> None:
         self._resident_edges -= num_edges
 
     def iter_partitions(self) -> Iterator[GraphPartition]:
-        """Stream blocks as partitions, one resident at a time.
+        """Stream the shard as chunk partitions, one resident at a time.
 
-        Blocks arrive in the manifest's (column-major, i.e. global
-        streaming) order.  The residency counter decrements when a
-        block's graph is actually garbage-collected (weakref
-        finalizer), so it measures what is truly live: a consumer that
-        retains partitions drives the counter towards O(graph), and
-        the honest steady state is at most two blocks — the consumer
-        still references block ``k`` while ``k+1`` loads.
+        Chunks arrive in global streaming order.  The residency counter
+        decrements when a chunk's graph is actually garbage-collected
+        (weakref finalizer), so it measures what is truly live: a
+        consumer that retains partitions drives the counter towards
+        O(graph), and the honest steady state is at most two chunks —
+        the consumer still references chunk ``c`` while ``c+1`` loads.
         """
-        manifest = self.manifest
-        side = manifest.blocks_per_side
-        block = manifest.block_size
-        n = manifest.num_vertices
-        for index, filename in enumerate(manifest.files):
-            piece = load_binary(self.directory / filename,
-                                mmap=self.mmap_blocks)
-            self._validate_block(index, piece)
-            graph = Graph(adjacency=piece.adjacency,
-                          name=f"{manifest.name}#{filename}",
-                          weighted=manifest.weighted)
-            del piece
+        m = self.manifest
+        side, block = m.blocks_per_side, m.block_size
+        bounds = self.chunk_bounds
+        for index in range(bounds.size - 1):
+            lo, hi = int(bounds[index]), int(bounds[index + 1])
+            graph = self._read_chunk(lo, hi)
             self._resident_edges += graph.num_edges
             self._peak_residency = max(self._peak_residency,
                                        self._resident_edges)
             weakref.finalize(graph, self._release_edges,
                              graph.num_edges)
-            bj = index // side
             yield GraphPartition(
                 index=index, graph=graph,
                 streamer=SubgraphStreamer(graph, self.config),
-                col_lo=bj * block,
-                col_hi=min((bj + 1) * block, n),
+                col_lo=lo // side * block,
+                col_hi=min(((hi - 1) // side + 1) * block,
+                           m.num_vertices),
             )
             del graph
 
     # ------------------------------------------------------------------
-    def load_graph(self) -> Graph:
-        """Concatenate the block files back into one (ordered) graph.
-
-        Not used by :meth:`run` — it exists for tests and for callers
-        that want the preprocessed edge list in memory (e.g. to compare
-        against an in-memory run of the same deployment input).
-        """
-        rows: List[np.ndarray] = []
-        cols: List[np.ndarray] = []
-        values: List[np.ndarray] = []
-        total = 0
-        for index, filename in enumerate(self.manifest.files):
-            piece = load_binary(self.directory / filename,
-                                mmap=self.mmap_blocks)
-            self._validate_block(index, piece)
-            rows.append(np.asarray(piece.adjacency.rows))
-            cols.append(np.asarray(piece.adjacency.cols))
-            values.append(np.asarray(piece.adjacency.values))
-            total += piece.num_edges
-        if total != self.manifest.num_edges:
-            raise GraphFormatError(
-                f"block files hold {total} edges, manifest says "
-                f"{self.manifest.num_edges}"
-            )
-        n = self.manifest.num_vertices
-        coo = COOMatrix((n, n), np.concatenate(rows),
-                        np.concatenate(cols), np.concatenate(values))
-        return Graph(adjacency=coo, name=self.manifest.name,
-                     weighted=self.manifest.weighted)
-
-    # ------------------------------------------------------------------
-    def _scan_metadata(self) -> _DiskMetadata:
-        """One preprocessing pass: global degrees, subgraph census and
-        integrity checks — all O(|V|) state."""
-        if self._metadata is not None:
-            return self._metadata
-        n = self.manifest.num_vertices
-        out_degrees = np.zeros(n, dtype=np.int64)
-        nonempty = 0
-        max_block = 0
-        total = 0
-        for partition in self.iter_partitions():
-            adj = partition.graph.adjacency
-            out_degrees += np.bincount(np.asarray(adj.rows), minlength=n)
-            nonempty += partition.streamer.num_nonempty_subgraphs
-            max_block = max(max_block, adj.nnz)
-            total += adj.nnz
-        if total != self.manifest.num_edges:
-            raise GraphFormatError(
-                f"block files hold {total} edges, manifest says "
-                f"{self.manifest.num_edges}"
-            )
-        self._metadata = _DiskMetadata(
-            out_degrees=out_degrees,
-            nonempty_subgraphs=nonempty,
-            max_block_edges=max_block,
-        )
-        return self._metadata
-
     def _graph_view(self) -> Graph:
         """Edgeless stand-in handed to program hooks (they only consult
         the vertex count; the edges stay on disk)."""
@@ -356,7 +418,7 @@ class OutOfCoreRunner:
         The returned stats carry two timings: ``stats.seconds`` is the
         paper-comparable execution time (disk I/O excluded, Section
         5.2) and ``stats.extra["seconds_with_disk"]`` includes the
-        per-pass sequential block streaming (algorithm passes plus the
+        per-pass sequential shard streaming (algorithm passes plus the
         one preprocessing scan).
         """
         program, reference_kwargs, init_kwargs = resolve_program(
@@ -371,73 +433,73 @@ class OutOfCoreRunner:
         if not config.skip_empty_subgraphs:
             # Each partition's streamer reports the whole grid's slot
             # count, so summing over partitions would bill the empty
-            # slots once per block — the ablation only means something
+            # slots once per chunk — the ablation only means something
             # on the in-memory single node.
             raise ConfigError(
                 "the skip_empty_subgraphs=False ablation is supported "
                 "on the in-memory single node only"
             )
-        self._resident_edges = 0
-        self._peak_residency = 0
-        with tracing.span("scan-metadata",
-                          blocks=len(self.manifest.files)):
-            meta = self._scan_metadata()
+        manifest = self.manifest
+        self._peak_residency = self._resident_edges
         max_iterations = kwargs.get("max_iterations")
 
         chosen = mode or config.mode
         if chosen == "auto":
             chosen = choose_execution_mode(config, program,
-                                           meta.nonempty_subgraphs,
+                                           manifest.nonempty_subgraphs,
                                            max_iterations)
         if chosen not in ("analytic", "functional"):
             raise ConfigError(
                 f"unsupported out-of-core execution mode {chosen!r}"
             )
 
-        n = self.manifest.num_vertices
         stats = RunStats(platform="graphr", algorithm=program.name,
-                         dataset=self.manifest.name)
+                         dataset=manifest.name)
         stats.seconds += config.setup_overhead_s
         stats.latency.add("setup", config.setup_overhead_s)
         cost = CostModel(config)
 
         if chosen == "analytic":
-            result = self._run_analytic(program, meta, cost, stats,
-                                        reference_kwargs)
+            result, passes = self._run_analytic(program, cost, stats,
+                                                reference_kwargs)
         else:
-            result = self._run_functional(program, meta, cost, stats,
+            result = self._run_functional(program, cost, stats,
                                           max_iterations, init_kwargs)
+            passes = 0
 
         stats.iterations = result.iterations
         stats.extra["mode"] = chosen
         stats.extra["deployment"] = "out-of-core"
-        stats.extra["nonempty_subgraphs"] = meta.nonempty_subgraphs
+        stats.extra["nonempty_subgraphs"] = manifest.nonempty_subgraphs
         stats.extra["subgraph_slots"] = self._total_subgraph_slots()
         stats.extra["config"] = config_summary(config)
 
-        # Disk-side accounting: every pass streams every block
+        # Disk-side accounting: every pass streams the whole shard
         # sequentially, plus the one preprocessing/metadata scan.
-        bytes_per_pass = self.manifest.num_edges * EDGE_BYTES
-        passes = max(1, stats.iterations) + 1
-        disk_seconds = (passes * bytes_per_pass
+        bytes_per_pass = manifest.num_edges * EDGE_BYTES
+        disk_passes = max(1, stats.iterations) + 1
+        disk_seconds = (disk_passes * bytes_per_pass
                         / self.disk.sequential_bandwidth_bps)
         stats.extra["seconds_with_disk"] = stats.seconds + disk_seconds
         stats.extra["disk_seconds"] = disk_seconds
-        stats.extra["blocks"] = len(self.manifest.files)
-        stats.extra["peak_edge_residency"] = self._peak_residency
-        stats.extra["max_block_edges"] = meta.max_block_edges
+        stats.extra["blocks"] = manifest.blocks_per_side ** 2
+        stats.extra["peak_edge_residency"] = node_edge_residency(
+            np.diff(self._offsets), wrap=passes >= 2)
+        stats.extra["max_block_edges"] = manifest.max_block_edges
         stats.energy.charge_joules("disk",
                                    self.disk.power_w * disk_seconds)
         return result, stats
 
     # ------------------------------------------------------------------
-    def _run_analytic(self, program, meta: _DiskMetadata,
-                      cost: CostModel, stats: RunStats,
+    def _run_analytic(self, program, cost: CostModel, stats: RunStats,
                       reference_kwargs: Dict[str, object]):
-        """Streamed exact kernel + per-pass merged event charging."""
+        """Streamed exact kernel + per-pass merged event charging.
+
+        Returns the result and the number of passes made.
+        """
         n = self.manifest.num_vertices
         kernel = get_stream_kernel(program.name)(
-            n, meta.out_degrees, **reference_kwargs)
+            n, self._out_degrees, **reference_kwargs)
         iteration = 0
         while not kernel.finished:
             iteration += 1
@@ -475,17 +537,16 @@ class OutOfCoreRunner:
                     "repro_active_edges_total",
                     "Active edges processed across all iterations"
                 ).inc(merged.edges)
-        return kernel.result()
+        return kernel.result(), iteration
 
-    def _run_functional(self, program, meta: _DiskMetadata,
-                        cost: CostModel, stats: RunStats,
+    def _run_functional(self, program, cost: CostModel, stats: RunStats,
                         max_iterations: Optional[int],
                         init_kwargs: Dict[str, object]):
-        """Device-model execution over the block stream."""
+        """Device-model execution over the chunk stream."""
         runner = PartitionedFunctionalRunner(
             self.config, program, self.manifest.num_vertices,
             graph_view=self._graph_view(),
-            out_degrees=meta.out_degrees,
+            out_degrees=self._out_degrees,
             partitions=self.iter_partitions,
         )
 

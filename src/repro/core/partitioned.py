@@ -280,10 +280,10 @@ class PartitionedFunctionalRunner:
         disk without retaining blocks.
     persistent_partitions:
         True when ``partitions`` returns the same objects every pass
-        (in-memory deployments): per-partition coefficients, and the
-        MAC cells of the cell path, are then computed once and cached.
-        Must stay False for streaming providers — caching would
-        accumulate O(graph) arrays.
+        (in-memory deployments): the MAC cells of the cell path, or
+        else the per-partition coefficients, are then computed once and
+        cached.  Must stay False for streaming providers — caching
+        would accumulate O(graph) arrays.
     """
 
     def __init__(self, config: GraphRConfig, program: VertexProgram,
@@ -318,29 +318,32 @@ class PartitionedFunctionalRunner:
         self._padded = -(-self.num_vertices // block) * block
 
     # ------------------------------------------------------------------
-    def _coefficients(self, partition: GraphPartition) -> np.ndarray:
-        if self._coeff_cache is not None \
-                and partition.index in self._coeff_cache:
-            return self._coeff_cache[partition.index]
+    def _edge_coefficients(self, partition: GraphPartition) -> np.ndarray:
         adj = partition.graph.adjacency
-        coefficients = self.program.edge_coefficients(
+        return self.program.edge_coefficients(
             np.asarray(adj.rows), np.asarray(adj.values),
             self.out_degrees)
-        if self._coeff_cache is not None:
+
+    def _coefficients(self, partition: GraphPartition) -> np.ndarray:
+        if self._coeff_cache is None:
+            return self._edge_coefficients(partition)
+        coefficients = self._coeff_cache.get(partition.index)
+        if coefficients is None:
+            coefficients = self._edge_coefficients(partition)
             self._coeff_cache[partition.index] = coefficients
         return coefficients
 
-    def _mac_cells(self, partition: GraphPartition,
-                   coefficients: np.ndarray) -> Optional[MacCells]:
+    def _mac_cells(self, partition: GraphPartition) -> Optional[MacCells]:
         """The partition's programmed MAC cells, built on its first pass
         when partitions persist (streamed ones build theirs in each
-        scan)."""
+        scan).  The coefficients are computed only to build them and
+        are not kept: once the cells exist no pass reads them."""
         if not self.cell_path or self._cell_cache is None:
             return None
         cells = self._cell_cache.get(partition.index)
         if cells is None:
-            cells = partition.streamer.mac_cells(coefficients,
-                                                 self.engine.coeff_fmt)
+            cells = partition.streamer.mac_cells(
+                self._edge_coefficients(partition), self.engine.coeff_fmt)
             self._cell_cache[partition.index] = cells
         return cells
 
@@ -356,12 +359,14 @@ class PartitionedFunctionalRunner:
         # Partitions are consumed one at a time and released — only
         # their (small) event records survive the loop.
         for partition in self.partitions():
-            coefficients = self._coefficients(partition)
+            cells = self._mac_cells(partition)
             events = run_mac_scan(
                 partition.streamer, self.engine, padded_inputs, accum,
-                coefficients, frontier=None,
+                None if cells is not None
+                else self._coefficients(partition),
+                frontier=None,
                 batch_size=cfg.functional_batch_size,
-                cells=self._mac_cells(partition, coefficients))
+                cells=cells)
             events.scanned_edges = partition.graph.num_edges
             events.apply_ops = partition.col_hi - partition.col_lo
             per_partition.append(events)

@@ -1,9 +1,10 @@
-"""Edge-list persistence: the out-of-core side of GraphR's workflow.
+"""Edge-list persistence: graphs as files.
 
-The paper assumes a preprocessed COO edge list on disk, loaded block by
-block with sequential I/O (Figure 9).  This module provides a simple,
-dependency-free text format (one ``src dst [weight]`` triple per line,
-``#`` comments) and a compact binary format used by the examples.
+This module provides a simple, dependency-free text format (one
+``src dst [weight]`` triple per line, ``#`` comments) and a compact
+binary format used by the examples.  The out-of-core deployment's
+preprocessed, streaming-ordered shard (Figure 9) has its own packed
+layout in :mod:`repro.core.outofcore`.
 """
 
 from __future__ import annotations
@@ -93,20 +94,8 @@ def save_binary(graph: Graph, path: Union[str, Path]) -> None:
         fh.write(np.asarray(adj.values, dtype="<f8").tobytes())
 
 
-#: Bytes before the array payload: 4-byte magic + ``<IQQB`` header.
-_HEADER_BYTES = 4 + struct.calcsize("<IQQB")
-
-
-def load_binary(path: Union[str, Path], name: str = "",
-                mmap: bool = False) -> Graph:
-    """Read a file written by :func:`save_binary`.
-
-    With ``mmap=True`` the arrays are zero-copy read-only views over a
-    private memory mapping of the file instead of heap copies — the
-    attach path for immutable content-keyed artifacts (prepared
-    out-of-core shard blocks).  The mapping lives as long as the
-    arrays do; values are bit-identical to a buffered read.
-    """
+def load_binary(path: Union[str, Path], name: str = "") -> Graph:
+    """Read a file written by :func:`save_binary`."""
     path = Path(path)
     with path.open("rb") as fh:
         magic = fh.read(4)
@@ -116,22 +105,9 @@ def load_binary(path: Union[str, Path], name: str = "",
                                                            fh.read(21))
         if version != _VERSION:
             raise GraphFormatError(f"{path}: unsupported version {version}")
-        if mmap:
-            import mmap as mmap_module
-
-            mapped = mmap_module.mmap(fh.fileno(), 0,
-                                      access=mmap_module.ACCESS_READ)
-            buf = memoryview(mapped)
-            rows = np.frombuffer(buf, dtype="<i8", count=edges,
-                                 offset=_HEADER_BYTES)
-            cols = np.frombuffer(buf, dtype="<i8", count=edges,
-                                 offset=_HEADER_BYTES + 8 * edges)
-            values = np.frombuffer(buf, dtype="<f8", count=edges,
-                                   offset=_HEADER_BYTES + 16 * edges)
-        else:
-            rows = np.frombuffer(fh.read(8 * edges), dtype="<i8")
-            cols = np.frombuffer(fh.read(8 * edges), dtype="<i8")
-            values = np.frombuffer(fh.read(8 * edges), dtype="<f8")
+        rows = np.frombuffer(fh.read(8 * edges), dtype="<i8")
+        cols = np.frombuffer(fh.read(8 * edges), dtype="<i8")
+        values = np.frombuffer(fh.read(8 * edges), dtype="<f8")
     coo = COOMatrix((vertices, vertices), rows, cols, values)
     return Graph(adjacency=coo, name=name or path.stem,
                  weighted=bool(weighted))

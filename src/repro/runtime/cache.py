@@ -132,9 +132,9 @@ class ResultCache:
         self.stats = CacheStats()
         # A published shard's contents are immutable (and deterministic
         # per digest), so its tree walk is memoised by name — metrics
-        # polls must not re-stat every block file of every shard on
-        # each request, and reuse touching the dir mtime must not
-        # invalidate the memo.
+        # polls must not re-stat every file of every shard on each
+        # request, and reuse touching the dir mtime must not invalidate
+        # the memo.
         self._shard_sizes: Dict[str, int] = {}
 
     # ------------------------------------------------------------------

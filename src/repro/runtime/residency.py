@@ -6,10 +6,10 @@ copies and paid N generation costs.  This module gives prepared
 datasets a *resident* form: one immutable, content-keyed
 ``multiprocessing.shared_memory`` segment per ``(dataset, weighted,
 seed)`` triple, published once by whichever worker gets there first
-and mapped read-only by everyone else.  Out-of-core block files get
-the same treatment for free by mmap-ing the already content-keyed
-shard files (see :func:`repro.graph.io.load_binary`); this module owns
-the in-memory COO arrays.
+and mapped read-only by everyone else.  Out-of-core jobs read their
+already content-keyed shard from disk chunk by chunk instead (see
+:mod:`repro.core.outofcore`); this module owns the in-memory COO
+arrays.
 
 Segment layout (all little-endian)::
 

@@ -75,12 +75,14 @@ def prepare_block_dir(job: Job, config,
                       resident_log: Optional[list] = None):
     """Prepare phase for an out-of-core job: a complete shard directory.
 
-    A warm shard never materializes the dataset at all (the block files
-    are the prepared artifact); a cold one builds the graph via
-    :func:`attach_dataset` and shards it under a traced ``shard-build``
-    span.  Without a ``cache_dir`` the shards go to a per-process
-    scratch root (removed at process exit) instead of a throwaway
-    per-run temp dir, so repeat cache-less runs still reuse the shard.
+    A warm shard never materializes the dataset at all (the packed,
+    streaming-ordered shard is the prepared artifact); a cold one builds
+    the graph via :func:`attach_dataset` and shards it under a traced
+    ``shard-build`` span.  Without a ``cache_dir`` the shards go to a
+    per-process scratch root (removed at process exit) instead of a
+    throwaway per-run temp dir, so repeat cache-less runs still reuse
+    the shard.  Opening it in the attach phase validates its layout
+    once; each chunk's edges are checked as a pass reads them.
     """
     from repro.runtime import residency as residency_mod
     from repro.runtime.shards import prepared_block_dir
@@ -109,7 +111,8 @@ def execute_job(job: Job,
        dataset artifact (generated graph, or prepared shard directory
        for out-of-core jobs);
     2. **attach** — map it into this process read-only (shared-memory
-       attach, block-file mmap, or plain in-process reuse);
+       attach, opening and validating the shard, or plain in-process
+       reuse);
     3. **compute** — dispatch to the platform/deployment engine.
 
     The phases change only *where the bytes live*: results are
@@ -136,10 +139,8 @@ def execute_job(job: Job,
                 job, config, cache_dir, residency=residency,
                 resident_log=resident_log)
             with tracing.span("attach", dataset=job.dataset,
-                              deployment="out-of-core",
-                              mmap=residency):
-                runner = OutOfCoreRunner(block_dir, config,
-                                         mmap_blocks=residency)
+                              deployment="out-of-core"):
+                runner = OutOfCoreRunner(block_dir, config)
             _, stats = runner.run(job.algorithm, **kwargs)
             return stats
         graph = attach_dataset(job, residency=residency,

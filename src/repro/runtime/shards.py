@@ -1,18 +1,23 @@
 """Prepared-shard reuse for out-of-core jobs.
 
 :func:`~repro.core.outofcore.prepare_on_disk` is deterministic: the
-block files depend only on the dataset analog (code, seed, weighting)
-and the parts of the :class:`~repro.core.config.GraphRConfig` that
-shape the preprocessing order (block size and crossbar geometry).
-Re-sharding the same graph for every out-of-core job is therefore pure
-waste — this module keys finished block directories by those inputs
-and keeps them under ``<cache_dir>/shards/<digest>/`` so repeated jobs
-stream straight from the existing shard.
+packed shard (streaming-ordered edge columns, per-block offsets,
+out-degrees and manifest) depends only on the dataset analog (code,
+seed, weighting) and the parts of the
+:class:`~repro.core.config.GraphRConfig` that shape the preprocessing
+order (block size and crossbar geometry).  Re-sharding the same graph
+for every out-of-core job is therefore pure waste — this module keys
+finished shard directories by those inputs and keeps them under
+``<cache_dir>/shards/<digest>/`` so repeated jobs stream straight from
+the existing shard.
 
 Publication is atomic: a shard is built in a per-process scratch
 directory and renamed into place only after its manifest (written
 last) exists, so readers never see a half-built shard and concurrent
 builders race harmlessly — the loser discards its identical copy.
+The reader (:class:`~repro.core.outofcore.OutOfCoreRunner`) validates
+the layout once when it opens a shard and checks each chunk's edges as
+it reads them.
 """
 
 from __future__ import annotations
@@ -25,6 +30,7 @@ from pathlib import Path
 from typing import Callable, Union
 
 from repro.core.config import GraphRConfig
+from repro.core.outofcore import LAYOUT_VERSION
 from repro.core.outofcore import _MANIFEST as MANIFEST_NAME
 from repro.core.outofcore import prepare_on_disk
 from repro.graph.graph import Graph
@@ -32,14 +38,16 @@ from repro.obs import metrics, tracing
 
 __all__ = ["SHARD_LAYOUT_VERSION", "shard_key", "prepared_block_dir"]
 
-#: Bump when the on-disk block layout changes; old shards are simply
-#: never matched again (prune the cache dir to reclaim the space).
-SHARD_LAYOUT_VERSION = 1
+#: The on-disk layout :func:`prepare_on_disk` writes, part of every
+#: key: after a layout change old shards are simply never matched again
+#: (prune the cache dir to reclaim the space).  Version 2 is one packed,
+#: streaming-ordered shard; version 1 was one file per block.
+SHARD_LAYOUT_VERSION = LAYOUT_VERSION
 
 
 def shard_key(dataset: str, dataset_seed: int, weighted: bool,
               config: GraphRConfig) -> str:
-    """Stable digest naming one prepared block directory.
+    """Stable digest naming one prepared shard directory.
 
     Covers everything :func:`prepare_on_disk` reads: the dataset analog
     identity plus the config fields that shape the block/subgraph
@@ -65,7 +73,7 @@ def prepared_block_dir(graph: Union[Graph, Callable[[], Graph]],
                        cache_root: Union[str, Path], *,
                        dataset: str, dataset_seed: int,
                        weighted: bool) -> Path:
-    """A complete block directory for ``(dataset, config)``.
+    """A complete shard directory for ``(dataset, config)``.
 
     Returns the cached shard when one exists (a present manifest means
     the rename-after-build completed), otherwise shards the graph into

@@ -19,13 +19,18 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.algorithms.registry import resolve_program
 from repro.core.accelerator import GraphR
 from repro.core.config import GraphRConfig
 from repro.core.multinode import MultiNodeConfig, MultiNodeGraphR
 from repro.core.outofcore import OutOfCoreRunner, prepare_on_disk
-from repro.core.partitioned import DeploymentSpec
+from repro.core.partitioned import (DeploymentSpec,
+                                    PartitionedFunctionalRunner,
+                                    partition_by_destination)
 from repro.errors import ConfigError, JobError
 from repro.graph.generators import rmat
+from repro.graph.graph import Graph
+from repro.graph.preprocess import GraphROrdering, preprocess_edge_list
 from repro.runtime import BatchRunner, Job
 
 #: Small node so the 128-vertex fixture spans many subgraphs.
@@ -35,7 +40,7 @@ CONFIG = dict(crossbar_size=4, crossbars_per_ge=8, num_ges=2,
 
 @pytest.fixture(scope="module")
 def graph():
-    # 128 vertices / block 16 -> 8 blocks per side (64 block files).
+    # 128 vertices / block 16 -> 8 blocks per side (64 blocks).
     return rmat(7, 900, seed=19, weighted=True, name="part")
 
 
@@ -45,6 +50,18 @@ def analytic_disk(graph, tmp_path_factory):
     prepare_on_disk(graph, directory, GraphRConfig(mode="analytic",
                                                    **CONFIG))
     return directory
+
+
+def preprocessed(graph, config):
+    """The deployment input: ``graph``'s edge list in streaming order."""
+    ordering = GraphROrdering(
+        num_vertices=graph.num_vertices,
+        block_size=config.effective_block_size(graph.num_vertices),
+        crossbar_size=config.crossbar_size,
+        crossbars_per_ge=config.logical_crossbars_per_ge,
+        num_ges=config.num_ges)
+    return Graph(adjacency=preprocess_edge_list(graph.adjacency, ordering),
+                 name=graph.name, weighted=graph.weighted)
 
 
 def compute_energy(stats, exclude=("disk", "internode_links")):
@@ -73,7 +90,7 @@ class TestOutOfCoreAnalyticEquivalence:
         # The deployment input is the preprocessed (ordered) edge list;
         # the in-memory comparison run consumes the same input.
         in_memory, mem_stats = GraphR(config).run(
-            algorithm, runner.load_graph(), **kwargs)
+            algorithm, preprocessed(graph, config), **kwargs)
         assert np.array_equal(ooc_result.values, in_memory.values)
         assert ooc_result.iterations == in_memory.iterations
         assert ooc_stats.seconds == mem_stats.seconds
@@ -154,12 +171,60 @@ class TestResidency:
         config = GraphRConfig(mode=mode, **CONFIG)
         runner = OutOfCoreRunner(analytic_disk, config)
         _, stats = runner.run("pagerank", max_iterations=3)
+        bound = 2 * stats.extra["max_block_edges"]
+        # The node's figure: at most two blocks live at once (it still
+        # holds block k while k+1 loads).
         peak = stats.extra["peak_edge_residency"]
-        # At most two blocks live at once (the consumer still holds
-        # block k while k+1 loads).
-        assert 0 < peak <= 2 * stats.extra["max_block_edges"]
+        assert 0 < peak <= bound
         # O(block), not O(graph): far below the whole edge list.
         assert peak < graph.num_edges / 4
+        # The host's measured figure: at most two chunks, each no
+        # larger than the largest block.
+        assert 0 < runner.peak_edge_residency <= bound
+        assert runner.peak_edge_residency < graph.num_edges / 4
+
+    @staticmethod
+    def _node_peak(directory, config, algorithm, **kwargs):
+        _, stats = OutOfCoreRunner(directory, config).run(algorithm,
+                                                          **kwargs)
+        return stats.extra["peak_edge_residency"]
+
+    def test_single_block_multi_pass_holds_the_block_twice(self, graph,
+                                                           tmp_path):
+        """One block: an analytic run of several passes still holds the
+        last pass's block while the next pass loads it again."""
+        geometry = dict(CONFIG, block_size=None)
+        prepare_on_disk(graph, tmp_path, GraphRConfig(**geometry))
+        analytic = GraphRConfig(mode="analytic", **geometry)
+        functional = GraphRConfig(mode="functional", **geometry)
+        e = graph.num_edges
+        assert self._node_peak(tmp_path, analytic, "pagerank",
+                               max_iterations=3) == 2 * e
+        assert self._node_peak(tmp_path, analytic, "spmv") == e
+        assert self._node_peak(tmp_path, functional, "pagerank",
+                               max_iterations=3) == e
+
+    def test_wrap_term_can_be_the_peak(self, tmp_path):
+        """Blocks (0, 0) and (1, 1) are heavy, the two between them
+        light: only the pass-to-pass handover pairs the heavy ones."""
+        heavy_a = [(i, j, 1.0) for i in range(3) for j in range(3)]
+        heavy_b = [(i, j, 1.0) for i in range(4, 7) for j in range(4, 7)]
+        graph = Graph.from_edges(heavy_a + [(5, 0, 1.0), (0, 5, 1.0)]
+                                 + heavy_b, num_vertices=8,
+                                 weighted=True, name="wrap")
+        geometry = dict(CONFIG, block_size=4)
+        manifest = prepare_on_disk(graph, tmp_path,
+                                   GraphRConfig(**geometry))
+        assert manifest.blocks_per_side == 2
+        analytic = GraphRConfig(mode="analytic", **geometry)
+        functional = GraphRConfig(mode="functional", **geometry)
+        # Block edge counts 9, 1, 1, 9: neighbours pair to 10 at most,
+        # the wrap to 18.
+        assert self._node_peak(tmp_path, analytic, "pagerank",
+                               max_iterations=3) == 18
+        assert self._node_peak(tmp_path, analytic, "spmv") == 10
+        assert self._node_peak(tmp_path, functional, "pagerank",
+                               max_iterations=3) == 10
 
     def test_counter_tracks_streaming(self, analytic_disk):
         runner = OutOfCoreRunner(analytic_disk,
@@ -181,6 +246,80 @@ class TestResidency:
         assert runner._resident_edges == runner.manifest.num_edges
         del hoard
         assert runner._resident_edges == 0
+
+
+class TestChunkPlanInvariance:
+    """Chunks only regroup one stream: one block per chunk, the default
+    plan and one chunk for the whole shard give identical results."""
+
+    @pytest.mark.parametrize("mode,algorithm,kwargs,noisy", [
+        ("analytic", "pagerank", {"max_iterations": 3}, False),
+        ("analytic", "sssp", {"source": 0}, False),
+        ("analytic", "bfs", {"source": 0}, False),
+        ("functional", "pagerank", {"max_iterations": 3}, False),
+        ("functional", "pagerank", {"max_iterations": 3}, True),
+        ("functional", "sssp", {"source": 0}, False),
+        ("functional", "sssp", {"source": 0}, True),
+        ("functional", "bfs", {"source": 0}, True),
+    ])
+    def test_every_plan_gives_the_same_result(self, analytic_disk, mode,
+                                              algorithm, kwargs, noisy):
+        device = dict(noise_sigma=0.02, programming_sigma=0.05,
+                      seed=3) if noisy else {}
+        config = GraphRConfig(mode=mode, **device, **CONFIG)
+        blocks = OutOfCoreRunner(analytic_disk, config).manifest \
+            .blocks_per_side ** 2
+        plans = {"per-block": np.arange(blocks + 1),
+                 "default": None,
+                 "one-chunk": np.array([0, blocks])}
+        outcomes = {}
+        for name, bounds in plans.items():
+            runner = OutOfCoreRunner(analytic_disk, config)
+            if bounds is None:
+                assert 2 < runner.chunk_bounds.size < blocks + 1
+            else:
+                runner.chunk_bounds = bounds
+            result, stats = runner.run(algorithm, **kwargs)
+            outcomes[name] = (result.values.tobytes(),
+                              stats.identity_dict())
+        assert outcomes["default"] == outcomes["per-block"]
+        assert outcomes["one-chunk"] == outcomes["per-block"]
+
+
+class TestFunctionalCoefficientCache:
+    """Persistent partitions on the MAC cell path keep their cells, not
+    their coefficients; the tile path keeps the coefficients."""
+
+    @pytest.mark.parametrize("noisy", [False, True])
+    def test_cells_replace_the_coefficient_cache(self, graph, noisy,
+                                                 monkeypatch):
+        device = dict(noise_sigma=0.02, seed=3) if noisy else {}
+        config = GraphRConfig(mode="functional", **device, **CONFIG)
+        program, _, init_kwargs = resolve_program("pagerank", {})
+        calls = []
+        real = program.edge_coefficients
+
+        def counting(*args):
+            calls.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(program, "edge_coefficients", counting)
+        partitions = partition_by_destination(
+            graph, [(0, 48), (48, 96), (96, graph.num_vertices)], config)
+        runner = PartitionedFunctionalRunner(
+            config, program, graph.num_vertices, graph_view=graph,
+            out_degrees=graph.out_degrees(),
+            partitions=lambda: partitions, persistent_partitions=True)
+        assert runner.cell_path is not noisy
+        result, _ = runner.run(lambda merged, per: 0.0,
+                               max_iterations=4, **init_kwargs)
+        assert result.iterations == 4
+        assert len(calls) == len(partitions)
+        if noisy:
+            assert set(runner._coeff_cache) == {0, 1, 2}
+        else:
+            assert runner._coeff_cache == {}
+            assert set(runner._cell_cache) == {0, 1, 2}
 
 
 class TestSinkFrontierPass:

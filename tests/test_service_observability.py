@@ -216,7 +216,7 @@ class TestPersistedTraces:
         # result cache.
         phases = names & {"queue-wait", "prepare", "attach",
                           "shard-build", "shard-attach",
-                          "scan-metadata", "reference", "sweep",
+                          "reference", "sweep",
                           "charge", "iteration"}
         assert len(phases) >= 4, names
         assert "queue-wait" in names  # injected from store timestamps
