@@ -4,7 +4,10 @@ Each algorithm exists twice:
 
 * a **reference implementation** — exact numpy code that also records a
   per-iteration :class:`~repro.algorithms.vertex_program.IterationTrace`
-  (active vertices/edges), which every platform model consumes;
+  (active vertices/edges), which every platform model consumes.  For
+  every algorithm but collaborative filtering it is the algorithm's
+  :class:`~repro.algorithms.kernels.StreamKernel` run over the whole
+  edge list as one chunk, the same evaluator out-of-core runs stream;
 * a **vertex program descriptor** — the ``processEdge`` / ``reduce``
   decomposition GraphR maps onto crossbars (parallel-MAC or
   parallel-add-op pattern).

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.algorithms.kernels import StreamKernel
+from repro.algorithms.kernels import StreamKernel, run_one_chunk
 from repro.algorithms.vertex_program import (
     AlgorithmResult,
     IterationTrace,
@@ -68,12 +68,14 @@ class BFSProgram(VertexProgram):
 
 
 class BFSKernel(StreamKernel):
-    """:func:`bfs_reference`, one edge chunk at a time.
+    """BFS's exact evaluator: level-synchronous, one edge chunk at a
+    time.
 
-    Level values are small integers, so chunked discovery is exactly
-    the reference's level-synchronous step: a vertex discovered by an
-    earlier chunk of the same pass would be re-assigned the same level
-    by later chunks anyway.
+    Every frontier vertex sits at level ``iterations``, so an unvisited
+    out-neighbour gets level ``iterations + 1``.  Level values are
+    small integers, so chunked discovery is exactly one whole-list
+    step: a vertex discovered by an earlier chunk of the same pass
+    would be re-assigned the same level by later chunks anyway.
     """
 
     algorithm = "bfs"
@@ -119,44 +121,13 @@ class BFSKernel(StreamKernel):
 
 def bfs_reference(graph: Graph, source: int = 0,
                   max_iterations: int = 0) -> AlgorithmResult:
-    """Level-synchronous BFS with a frontier trace.
+    """Level-synchronous BFS with a frontier trace: the
+    :class:`BFSKernel` run over the whole edge list as one chunk.
 
     ``max_iterations`` of 0 means unbounded (BFS terminates in at most
     ``|V|`` levels).  The trace's ``frontiers`` list holds the active
     source mask per iteration; the platform models use it to count the
     subgraphs/edges actually touched.
     """
-    n = graph.num_vertices
-    if not 0 <= source < n:
-        raise GraphFormatError(f"source {source} out of range")
-    src = np.asarray(graph.adjacency.rows)
-    dst = np.asarray(graph.adjacency.cols)
-
-    levels = np.full(n, UNREACHABLE)
-    levels[source] = 0.0
-    frontier = np.zeros(n, dtype=bool)
-    frontier[source] = True
-    limit = max_iterations if max_iterations > 0 else n + 1
-
-    trace = IterationTrace(frontiers=[])
-    iterations = 0
-    while frontier.any() and iterations < limit:
-        iterations += 1
-        edge_mask = frontier[src]
-        trace.record(vertices=int(frontier.sum()),
-                     edges=int(edge_mask.sum()),
-                     frontier=frontier)
-        # Level-synchronous step: every frontier vertex sits at level
-        # iterations-1, so unvisited neighbours get level = iterations.
-        candidates = dst[edge_mask]
-        fresh = candidates[levels[candidates] == UNREACHABLE]
-        levels[fresh] = float(iterations)
-        frontier = np.zeros(n, dtype=bool)
-        frontier[fresh] = True
-    return AlgorithmResult(
-        algorithm="bfs",
-        values=levels,
-        iterations=iterations,
-        converged=not frontier.any(),
-        trace=trace,
-    )
+    return run_one_chunk(BFSKernel(graph.num_vertices, None, source=source,
+                                   max_iterations=max_iterations), graph)

@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.algorithms.kernels import StreamKernel
+from repro.algorithms.kernels import StreamKernel, run_one_chunk
 from repro.algorithms.vertex_program import (
     AlgorithmResult,
     IterationTrace,
@@ -64,9 +64,9 @@ def _firing(properties: np.ndarray, k: int) -> np.ndarray:
 
 def _peel_step(properties: np.ndarray, reduced: np.ndarray,
                k: int) -> np.ndarray:
-    """One apply step of the peeling program (shared by the reference,
-    the stream kernel and the vertex program — one formula, three
-    callers, so every execution layer peels identically).
+    """One apply step of the peeling program (shared by the stream
+    kernel and the vertex program — one formula, so every execution
+    layer peels identically).
 
     The support floor at 0 is a no-op in exact arithmetic (a vertex's
     firing in-neighbours are always still counted in its support, so
@@ -129,11 +129,12 @@ class KCoreProgram(VertexProgram):
 
 
 class KCoreKernel(StreamKernel):
-    """:func:`kcore_reference`, one edge chunk at a time.
+    """k-core's exact evaluator: synchronous peeling, one edge chunk at
+    a time.
 
     Chunked ``np.add.at`` of unit contributions is exact integer
-    arithmetic, so any chunking produces the reference's support
-    counts bit for bit.
+    arithmetic, so any chunking produces the same support counts bit
+    for bit.
     """
 
     algorithm = "kcore"
@@ -179,7 +180,8 @@ class KCoreKernel(StreamKernel):
 
 def kcore_reference(graph: Graph, k: int = 2,
                     max_iterations: int = 0) -> AlgorithmResult:
-    """Synchronous peeling with an iteration trace.
+    """Synchronous peeling with an iteration trace: the
+    :class:`KCoreKernel` run over the whole edge list as one chunk.
 
     The first pass fires every vertex (the degree-counting sweep);
     subsequent passes fire the vertices whose support dropped below
@@ -188,42 +190,8 @@ def kcore_reference(graph: Graph, k: int = 2,
     convergence test).  ``values`` holds the surviving in-support for
     core members and :data:`REMOVED` for peeled vertices.
     """
-    if int(k) < 1:
-        raise GraphFormatError("k must be a positive integer")
-    k = int(k)
-    n = graph.num_vertices
-    src = np.asarray(graph.adjacency.rows)
-    dst = np.asarray(graph.adjacency.cols)
-
-    prop = np.full(n, INIT)
-    firing = np.ones(n, dtype=bool)
-    limit = max_iterations if max_iterations > 0 else n + 2
-
-    trace = IterationTrace(frontiers=[])
-    converged = False
-    iterations = 0
-    while iterations < limit:
-        iterations += 1
-        edge_mask = firing[src]
-        trace.record(vertices=int(firing.sum()),
-                     edges=int(edge_mask.sum()),
-                     frontier=firing)
-        reduced = np.zeros(n)
-        np.add.at(reduced, dst[edge_mask], 1.0)
-        new = _peel_step(prop, reduced, k)
-        changed = not np.array_equal(new, prop)
-        prop = new
-        firing = _firing(new, k)
-        if not changed:
-            converged = True
-            break
-    return AlgorithmResult(
-        algorithm="kcore",
-        values=prop,
-        iterations=iterations,
-        converged=converged,
-        trace=trace,
-    )
+    return run_one_chunk(KCoreKernel(graph.num_vertices, None, k=k,
+                                     max_iterations=max_iterations), graph)
 
 
 def core_membership(values: np.ndarray) -> np.ndarray:

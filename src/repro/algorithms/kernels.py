@@ -1,21 +1,23 @@
-"""Streamed exact kernels: the references, one edge chunk at a time.
+"""Streamed exact kernels: each algorithm's one exact evaluator.
 
-Out-of-core execution (Figure 9) consumes the preprocessed edge list
-block by block and must never hold the whole graph in memory — but the
-analytic execution mode needs the exact algorithm values.  A
-:class:`StreamKernel` is an algorithm's reference implementation
-re-expressed over edge *chunks*: per pass it exposes the active-source
-frontier, consumes each chunk's ``(src, dst, value)`` arrays in
-streaming order, and finishes the pass with the same vector updates
-the in-memory reference performs.
+GraphR's analytic mode needs exact algorithm values, and its
+out-of-core deployment (Figure 9) consumes the preprocessed edge list
+block by block without ever holding the whole graph.  A
+:class:`StreamKernel` serves both: per pass it exposes the
+active-source frontier, consumes edge chunks' ``(src, dst, value)``
+arrays in streaming order, and finishes the pass with the algorithm's
+vector updates.  Only O(|V|) state — property, degree and frontier
+vectors — lives across chunks.
 
-Chunked ``np.add.at`` / ``np.minimum.at`` scatters applied in stream
-order are element-for-element the same operation sequence as one call
-over the concatenated arrays, so a kernel driven over the ordered
-shard's chunks produces **bit-identical** values to its reference run
-on the ordered edge list (min-based kernels are order-independent and
-match the unordered reference too).  Only O(|V|) state — property,
-degree and frontier vectors — lives across chunks.
+The kernel is the algorithm's only exact evaluator.  Its module's
+``*_reference`` function is the kernel run over the graph's own edge
+list as one chunk (:func:`run_one_chunk`), and out-of-core runs drive
+the same kernel over the shard's chunks.  Chunked ``np.add.at`` /
+``np.minimum.at`` scatters applied in stream order are element for
+element the same operation sequence as one call over the concatenated
+arrays, so a run over the ordered shard's chunks is **bit-identical**
+to the reference on the ordered edge list (min/max-based kernels are
+order-independent and match the unordered reference too).
 """
 
 from __future__ import annotations
@@ -26,8 +28,9 @@ from typing import Optional
 import numpy as np
 
 from repro.algorithms.vertex_program import AlgorithmResult, IterationTrace
+from repro.graph.graph import Graph
 
-__all__ = ["StreamKernel"]
+__all__ = ["StreamKernel", "run_one_chunk"]
 
 
 class StreamKernel(ABC):
@@ -42,9 +45,10 @@ class StreamKernel(ABC):
                 kernel.process_edges(src, dst, values)
             kernel.end_pass()
 
-    Subclasses mirror their module's ``*_reference`` loop exactly —
-    same numpy expressions, same trace records, same convergence test —
-    so a streamed run is a drop-in replacement for the reference.
+    A constructor may leave the kernel ``finished`` before any pass (an
+    iteration budget of 0, an empty frontier); a kernel that is
+    ``finished`` holds the run's final values, iterations,
+    convergence flag and trace.
     """
 
     #: Registered algorithm name.
@@ -79,7 +83,7 @@ class StreamKernel(ABC):
 
     # ------------------------------------------------------------------
     def result(self) -> AlgorithmResult:
-        """The run's outcome, shaped like the reference's."""
+        """The run's outcome as an :class:`AlgorithmResult`."""
         return AlgorithmResult(
             algorithm=self.algorithm,
             values=self.values,
@@ -87,3 +91,17 @@ class StreamKernel(ABC):
             converged=self.converged,
             trace=self.trace,
         )
+
+
+def run_one_chunk(kernel: StreamKernel, graph: Graph) -> AlgorithmResult:
+    """Run ``kernel`` to completion with ``graph``'s whole edge list,
+    in its own order, as the one chunk of every pass."""
+    adj = graph.adjacency
+    src = np.asarray(adj.rows)
+    dst = np.asarray(adj.cols)
+    values = np.asarray(adj.values)
+    while not kernel.finished:
+        kernel.begin_pass()
+        kernel.process_edges(src, dst, values)
+        kernel.end_pass()
+    return kernel.result()

@@ -9,15 +9,14 @@ an extra always-on row (Figure 16 b3).
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Tuple
 
 import numpy as np
 
 from repro.errors import ConvergenceError
-from repro.algorithms.kernels import StreamKernel
+from repro.algorithms.kernels import StreamKernel, run_one_chunk
 from repro.algorithms.vertex_program import (
     AlgorithmResult,
-    IterationTrace,
     MappingPattern,
     VertexProgram,
 )
@@ -86,14 +85,20 @@ class PageRankProgram(VertexProgram):
 
 
 class PageRankKernel(StreamKernel):
-    """:func:`pagerank_reference`, one edge chunk at a time.
+    """PageRank's exact evaluator: power iteration, one edge chunk at a
+    time.
 
-    Bit-identical to the reference on the same (streaming-ordered)
-    edge list: each pass gathers the same per-source contribution
-    vector and scatters it chunk by chunk in stream order.
+    Each pass gathers the per-source contribution ``r * rank / outdeg``
+    and scatters it chunk by chunk, in stream order, onto the restart
+    vector ``(1 - r) / |V|``; the run converges once the L1 change
+    drops below ``tolerance``.  With ``raise_on_divergence``, a run
+    that spends ``max_iterations`` (0 included) without converging
+    raises :class:`ConvergenceError`.
     """
 
     algorithm = "pagerank"
+    #: How the divergence error names the algorithm.
+    title = "PageRank"
 
     def __init__(self, num_vertices: int, out_degrees: np.ndarray,
                  damping: float = DEFAULT_DAMPING,
@@ -107,14 +112,27 @@ class PageRankKernel(StreamKernel):
         self.raise_on_divergence = bool(raise_on_divergence)
         out_deg = np.asarray(out_degrees).astype(np.float64)
         self._safe_deg = np.where(out_deg > 0, out_deg, 1.0)
-        self._rank = np.full(self.num_vertices, 1.0 / self.num_vertices)
-        self._teleport = (1.0 - self.damping) / self.num_vertices
-        self.finished = self.max_iterations < 1
+        self._rank, self._restart = self._start()
         self.values = self._rank
+        if self.max_iterations < 1:
+            self._give_up()
+
+    def _start(self) -> Tuple[np.ndarray, np.ndarray]:
+        """The initial rank vector and the per-pass restart vector."""
+        n = self.num_vertices
+        return np.full(n, 1.0 / n), np.full(n, (1.0 - self.damping) / n)
+
+    def _give_up(self) -> None:
+        self.finished = True
+        if self.raise_on_divergence:
+            raise ConvergenceError(
+                f"{self.title} did not converge in "
+                f"{self.max_iterations} iterations"
+            )
 
     def begin_pass(self) -> None:
         self._contrib = self.damping * self._rank / self._safe_deg
-        self._acc = np.full(self.num_vertices, self._teleport)
+        self._acc = self._restart.copy()
         self._pass_edges = 0
 
     def process_edges(self, src: np.ndarray, dst: np.ndarray,
@@ -134,12 +152,7 @@ class PageRankKernel(StreamKernel):
             self.converged = True
             self.finished = True
         elif self.iterations >= self.max_iterations:
-            self.finished = True
-            if self.raise_on_divergence:
-                raise ConvergenceError(
-                    f"PageRank did not converge in "
-                    f"{self.max_iterations} iterations"
-                )
+            self._give_up()
 
 
 def pagerank_reference(
@@ -149,42 +162,13 @@ def pagerank_reference(
     max_iterations: int = DEFAULT_MAX_ITERATIONS,
     raise_on_divergence: bool = False,
 ) -> AlgorithmResult:
-    """Exact power-iteration PageRank with an iteration trace.
+    """Exact power-iteration PageRank with an iteration trace: the
+    :class:`PageRankKernel` run over the whole edge list as one chunk.
 
     Parameters mirror :class:`PageRankProgram`.  Every iteration
     processes all edges (PageRank keeps no active list), so the trace
     records ``|V|`` vertices and ``|E|`` edges per iteration.
     """
-    n = graph.num_vertices
-    adj = graph.adjacency
-    src = np.asarray(adj.rows)
-    dst = np.asarray(adj.cols)
-    out_deg = graph.out_degrees().astype(np.float64)
-    safe_deg = np.where(out_deg > 0, out_deg, 1.0)
-
-    rank = np.full(n, 1.0 / n)
-    teleport = (1.0 - damping) / n
-    trace = IterationTrace()
-    converged = False
-    iterations = 0
-    for iterations in range(1, max_iterations + 1):
-        contrib = damping * rank / safe_deg
-        new_rank = np.full(n, teleport)
-        np.add.at(new_rank, dst, contrib[src])
-        trace.record(vertices=n, edges=adj.nnz)
-        delta = float(np.abs(new_rank - rank).sum())
-        rank = new_rank
-        if delta < tolerance:
-            converged = True
-            break
-    if not converged and raise_on_divergence:
-        raise ConvergenceError(
-            f"PageRank did not converge in {max_iterations} iterations"
-        )
-    return AlgorithmResult(
-        algorithm="pagerank",
-        values=rank,
-        iterations=iterations,
-        converged=converged,
-        trace=trace,
-    )
+    return run_one_chunk(PageRankKernel(
+        graph.num_vertices, graph.out_degrees(), damping, tolerance,
+        max_iterations, raise_on_divergence), graph)

@@ -15,16 +15,17 @@ paper's PageRank formulation, dangling mass leaks.
 
 from __future__ import annotations
 
+from typing import Tuple
+
 import numpy as np
 
-from repro.errors import ConvergenceError, GraphFormatError
-from repro.algorithms.kernels import StreamKernel
+from repro.errors import GraphFormatError
+from repro.algorithms.kernels import run_one_chunk
 from repro.algorithms.pagerank import (DEFAULT_DAMPING,
                                        DEFAULT_MAX_ITERATIONS,
-                                       DEFAULT_TOLERANCE)
+                                       DEFAULT_TOLERANCE, PageRankKernel)
 from repro.algorithms.vertex_program import (
     AlgorithmResult,
-    IterationTrace,
     MappingPattern,
     VertexProgram,
 )
@@ -100,15 +101,12 @@ class PPRProgram(VertexProgram):
         return delta < self.tolerance
 
 
-class PPRKernel(StreamKernel):
-    """:func:`ppr_reference`, one edge chunk at a time.
-
-    The PageRank kernel with the teleport vector concentrated on the
-    restart vertex; same chunked scatter, hence bit-identical on the
-    same streaming-ordered edge list.
-    """
+class PPRKernel(PageRankKernel):
+    """Personalized PageRank's exact evaluator: :class:`PageRankKernel`
+    with every restart, and the initial mass, on the source vertex."""
 
     algorithm = "ppr"
+    title = "personalized PageRank"
 
     def __init__(self, num_vertices: int, out_degrees: np.ndarray,
                  source: int = 0,
@@ -116,48 +114,16 @@ class PPRKernel(StreamKernel):
                  tolerance: float = DEFAULT_TOLERANCE,
                  max_iterations: int = DEFAULT_MAX_ITERATIONS,
                  raise_on_divergence: bool = False) -> None:
-        super().__init__(num_vertices)
-        self._source = _checked_source(source, self.num_vertices)
-        self.damping = float(damping)
-        self.tolerance = float(tolerance)
-        self.max_iterations = int(max_iterations)
-        self.raise_on_divergence = bool(raise_on_divergence)
-        out_deg = np.asarray(out_degrees).astype(np.float64)
-        self._safe_deg = np.where(out_deg > 0, out_deg, 1.0)
-        self._rank = np.zeros(self.num_vertices)
-        self._rank[self._source] = 1.0
-        self.finished = self.max_iterations < 1
-        self.values = self._rank
+        self._source = _checked_source(source, int(num_vertices))
+        super().__init__(num_vertices, out_degrees, damping, tolerance,
+                         max_iterations, raise_on_divergence)
 
-    def begin_pass(self) -> None:
-        self._contrib = self.damping * self._rank / self._safe_deg
-        self._acc = np.zeros(self.num_vertices)
-        self._acc[self._source] = 1.0 - self.damping
-        self._pass_edges = 0
-
-    def process_edges(self, src: np.ndarray, dst: np.ndarray,
-                      values: np.ndarray) -> None:
-        np.add.at(self._acc, np.asarray(dst),
-                  self._contrib[np.asarray(src)])
-        self._pass_edges += len(src)
-
-    def end_pass(self) -> None:
-        self.iterations += 1
-        self.trace.record(vertices=self.num_vertices,
-                          edges=self._pass_edges)
-        delta = float(np.abs(self._acc - self._rank).sum())
-        self._rank = self._acc
-        self.values = self._rank
-        if delta < self.tolerance:
-            self.converged = True
-            self.finished = True
-        elif self.iterations >= self.max_iterations:
-            self.finished = True
-            if self.raise_on_divergence:
-                raise ConvergenceError(
-                    f"personalized PageRank did not converge in "
-                    f"{self.max_iterations} iterations"
-                )
+    def _start(self) -> Tuple[np.ndarray, np.ndarray]:
+        rank = np.zeros(self.num_vertices)
+        rank[self._source] = 1.0
+        restart = np.zeros(self.num_vertices)
+        restart[self._source] = 1.0 - self.damping
+        return rank, restart
 
 
 def ppr_reference(
@@ -168,44 +134,12 @@ def ppr_reference(
     max_iterations: int = DEFAULT_MAX_ITERATIONS,
     raise_on_divergence: bool = False,
 ) -> AlgorithmResult:
-    """Exact power-iteration personalized PageRank with a trace.
+    """Exact power-iteration personalized PageRank with a trace: the
+    :class:`PPRKernel` run over the whole edge list as one chunk.
 
     Parameters mirror :class:`PPRProgram`.  Every iteration processes
     all edges (no active list), like PageRank.
     """
-    n = graph.num_vertices
-    source = _checked_source(source, n)
-    adj = graph.adjacency
-    src = np.asarray(adj.rows)
-    dst = np.asarray(adj.cols)
-    out_deg = graph.out_degrees().astype(np.float64)
-    safe_deg = np.where(out_deg > 0, out_deg, 1.0)
-
-    rank = np.zeros(n)
-    rank[source] = 1.0
-    trace = IterationTrace()
-    converged = False
-    iterations = 0
-    for iterations in range(1, max_iterations + 1):
-        contrib = damping * rank / safe_deg
-        new_rank = np.zeros(n)
-        new_rank[source] = 1.0 - damping
-        np.add.at(new_rank, dst, contrib[src])
-        trace.record(vertices=n, edges=adj.nnz)
-        delta = float(np.abs(new_rank - rank).sum())
-        rank = new_rank
-        if delta < tolerance:
-            converged = True
-            break
-    if not converged and raise_on_divergence:
-        raise ConvergenceError(
-            f"personalized PageRank did not converge in "
-            f"{max_iterations} iterations"
-        )
-    return AlgorithmResult(
-        algorithm="ppr",
-        values=rank,
-        iterations=iterations,
-        converged=converged,
-        trace=trace,
-    )
+    return run_one_chunk(PPRKernel(
+        graph.num_vertices, graph.out_degrees(), source, damping,
+        tolerance, max_iterations, raise_on_divergence), graph)

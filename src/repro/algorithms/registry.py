@@ -147,7 +147,8 @@ def resolve_program(algorithm, kwargs: Dict[str, object]):
 
 
 def get_stream_kernel(name: str) -> Callable[..., StreamKernel]:
-    """The algorithm's chunked exact-kernel factory (out-of-core path).
+    """The algorithm's exact-kernel factory: the evaluator behind its
+    reference, streamed chunk by chunk on the out-of-core path.
 
     Factories take ``(num_vertices, out_degrees, **reference_kwargs)``.
     Algorithms without a streamable form (collaborative filtering's

@@ -14,10 +14,9 @@ from typing import Optional
 
 import numpy as np
 
-from repro.algorithms.kernels import StreamKernel
+from repro.algorithms.kernels import StreamKernel, run_one_chunk
 from repro.algorithms.vertex_program import (
     AlgorithmResult,
-    IterationTrace,
     MappingPattern,
     VertexProgram,
 )
@@ -68,7 +67,8 @@ class SpMVProgram(VertexProgram):
 
 
 class SpMVKernel(StreamKernel):
-    """:func:`spmv_reference`, one edge chunk at a time (single pass)."""
+    """SpMV's exact evaluator: one pass scattering
+    ``w(u,v)/outdeg(u) * x[u]`` chunk by chunk in stream order."""
 
     algorithm = "spmv"
 
@@ -108,27 +108,7 @@ class SpMVKernel(StreamKernel):
 
 def spmv_reference(graph: Graph,
                    x: Optional[np.ndarray] = None) -> AlgorithmResult:
-    """Exact single-pass SpMV ``y[v] = sum_u w(u,v)/outdeg(u) * x[u]``."""
-    n = graph.num_vertices
-    if x is None:
-        x = np.ones(n)
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (n,):
-        raise GraphFormatError(f"x length {x.shape} != {n} vertices")
-    src = np.asarray(graph.adjacency.rows)
-    dst = np.asarray(graph.adjacency.cols)
-    weights = np.asarray(graph.adjacency.values, dtype=np.float64)
-    out_deg = graph.out_degrees().astype(np.float64)
-    safe_deg = np.where(out_deg > 0, out_deg, 1.0)
-
-    y = np.zeros(n)
-    np.add.at(y, dst, weights / safe_deg[src] * x[src])
-    trace = IterationTrace()
-    trace.record(vertices=n, edges=graph.num_edges)
-    return AlgorithmResult(
-        algorithm="spmv",
-        values=y,
-        iterations=1,
-        converged=True,
-        trace=trace,
-    )
+    """Exact single-pass SpMV ``y[v] = sum_u w(u,v)/outdeg(u) * x[u]``:
+    the :class:`SpMVKernel` run over the whole edge list as one chunk."""
+    return run_one_chunk(SpMVKernel(graph.num_vertices,
+                                    graph.out_degrees(), x=x), graph)

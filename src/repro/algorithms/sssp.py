@@ -18,7 +18,7 @@ import heapq
 
 import numpy as np
 
-from repro.algorithms.kernels import StreamKernel
+from repro.algorithms.kernels import StreamKernel, run_one_chunk
 from repro.algorithms.vertex_program import (
     AlgorithmResult,
     IterationTrace,
@@ -80,10 +80,11 @@ class SSSPProgram(VertexProgram):
 
 
 class SSSPKernel(StreamKernel):
-    """:func:`sssp_reference`, one edge chunk at a time.
+    """SSSP's exact evaluator: frontier-driven Bellman-Ford, one edge
+    chunk at a time.
 
     ``minimum.at`` is order-independent, so chunked relaxation against
-    the pass-shared ``proposed`` vector is exactly the reference's
+    the pass-shared ``proposed`` vector is exactly one whole-list
     min-scatter.
     """
 
@@ -111,7 +112,8 @@ class SSSPKernel(StreamKernel):
                       values: np.ndarray) -> None:
         src = np.asarray(src)
         weights = np.asarray(values, dtype=np.float64)
-        if weights.size and weights.min() < 0:
+        # Every edge streams through the first pass: validate there only.
+        if self.iterations == 0 and weights.size and weights.min() < 0:
             raise GraphFormatError(
                 "SSSP requires non-negative edge weights")
         edge_mask = self.frontier[src]
@@ -137,52 +139,17 @@ class SSSPKernel(StreamKernel):
 
 def sssp_reference(graph: Graph, source: int = 0,
                    max_iterations: int = 0) -> AlgorithmResult:
-    """Frontier-driven Bellman-Ford with an iteration trace.
+    """Frontier-driven Bellman-Ford with an iteration trace: the
+    :class:`SSSPKernel` run over the whole edge list as one chunk.
 
     Each iteration relaxes every out-edge of the vertices whose label
     changed in the previous iteration — exactly the paper's
     active-vertex semantics (Section 4.2), so the recorded frontiers
     drive the GraphR and baseline cost models.
     """
-    n = graph.num_vertices
-    if not 0 <= source < n:
-        raise GraphFormatError(f"source {source} out of range")
-    src = np.asarray(graph.adjacency.rows)
-    dst = np.asarray(graph.adjacency.cols)
-    weights = np.asarray(graph.adjacency.values, dtype=np.float64)
-    if weights.size and weights.min() < 0:
-        raise GraphFormatError("SSSP requires non-negative edge weights")
-
-    dist = np.full(n, INFINITY)
-    dist[source] = 0.0
-    frontier = np.zeros(n, dtype=bool)
-    frontier[source] = True
-    limit = max_iterations if max_iterations > 0 else n + 1
-
-    trace = IterationTrace(frontiers=[])
-    iterations = 0
-    while frontier.any() and iterations < limit:
-        iterations += 1
-        edge_mask = frontier[src]
-        trace.record(vertices=int(frontier.sum()),
-                     edges=int(edge_mask.sum()),
-                     frontier=frontier)
-        relax_src = src[edge_mask]
-        relax_dst = dst[edge_mask]
-        candidate = dist[relax_src] + weights[edge_mask]
-        # Elementwise min-scatter: keep the best relaxation per vertex.
-        proposed = dist.copy()
-        np.minimum.at(proposed, relax_dst, candidate)
-        improved = proposed < dist
-        dist = proposed
-        frontier = improved
-    return AlgorithmResult(
-        algorithm="sssp",
-        values=dist,
-        iterations=iterations,
-        converged=not frontier.any(),
-        trace=trace,
-    )
+    return run_one_chunk(SSSPKernel(graph.num_vertices, None,
+                                    source=source,
+                                    max_iterations=max_iterations), graph)
 
 
 def dijkstra_reference(graph: Graph, source: int = 0) -> AlgorithmResult:

@@ -27,7 +27,7 @@ import heapq
 
 import numpy as np
 
-from repro.algorithms.kernels import StreamKernel
+from repro.algorithms.kernels import StreamKernel, run_one_chunk
 from repro.algorithms.vertex_program import (
     AlgorithmResult,
     IterationTrace,
@@ -97,11 +97,14 @@ class SSWPProgram(VertexProgram):
 
 
 class SSWPKernel(StreamKernel):
-    """:func:`sswp_reference`, one edge chunk at a time.
+    """SSWP's exact evaluator: frontier-driven widening, one edge chunk
+    at a time.
 
-    ``maximum.at`` is order-independent, so chunked widening against
-    the pass-shared ``proposed`` vector is exactly the reference's
-    max-scatter.
+    Each pass widens every out-edge of the vertices whose width
+    improved in the previous pass — SSSP's active-vertex schedule with
+    the dual operators.  ``maximum.at`` is order-independent, so
+    chunked widening against the pass-shared ``proposed`` vector is
+    exactly one whole-list max-scatter.
     """
 
     algorithm = "sswp"
@@ -127,7 +130,9 @@ class SSWPKernel(StreamKernel):
     def process_edges(self, src: np.ndarray, dst: np.ndarray,
                       values: np.ndarray) -> None:
         src = np.asarray(src)
-        weights = _validated_widths(values)
+        # Every edge streams through the first pass: validate there only.
+        weights = (_validated_widths(values) if self.iterations == 0
+                   else np.asarray(values, dtype=np.float64))
         edge_mask = self.frontier[src]
         self._pass_edges += int(edge_mask.sum())
         widen_src = src[edge_mask]
@@ -152,49 +157,11 @@ class SSWPKernel(StreamKernel):
 
 def sswp_reference(graph: Graph, source: int = 0,
                    max_iterations: int = 0) -> AlgorithmResult:
-    """Frontier-driven widest-path iteration with a trace.
-
-    Each iteration widens every out-edge of the vertices whose width
-    improved in the previous iteration — the same active-vertex
-    schedule as the SSSP reference, with the dual operators.
-    """
-    n = graph.num_vertices
-    if not 0 <= source < n:
-        raise GraphFormatError(f"source {source} out of range")
-    src = np.asarray(graph.adjacency.rows)
-    dst = np.asarray(graph.adjacency.cols)
-    weights = _validated_widths(graph.adjacency.values)
-
-    width = np.zeros(n)
-    width[source] = UNBOUNDED
-    frontier = np.zeros(n, dtype=bool)
-    frontier[source] = True
-    limit = max_iterations if max_iterations > 0 else n + 1
-
-    trace = IterationTrace(frontiers=[])
-    iterations = 0
-    while frontier.any() and iterations < limit:
-        iterations += 1
-        edge_mask = frontier[src]
-        trace.record(vertices=int(frontier.sum()),
-                     edges=int(edge_mask.sum()),
-                     frontier=frontier)
-        widen_src = src[edge_mask]
-        widen_dst = dst[edge_mask]
-        candidate = np.minimum(width[widen_src], weights[edge_mask])
-        # Elementwise max-scatter: keep the best bottleneck per vertex.
-        proposed = width.copy()
-        np.maximum.at(proposed, widen_dst, candidate)
-        improved = proposed > width
-        width = proposed
-        frontier = improved
-    return AlgorithmResult(
-        algorithm="sswp",
-        values=width,
-        iterations=iterations,
-        converged=not frontier.any(),
-        trace=trace,
-    )
+    """Frontier-driven widest-path iteration with a trace: the
+    :class:`SSWPKernel` run over the whole edge list as one chunk."""
+    return run_one_chunk(SSWPKernel(graph.num_vertices, None,
+                                    source=source,
+                                    max_iterations=max_iterations), graph)
 
 
 def widest_path_reference(graph: Graph, source: int = 0) -> AlgorithmResult:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.algorithms.kernels import StreamKernel
+from repro.algorithms.kernels import StreamKernel, run_one_chunk
 from repro.algorithms.vertex_program import (
     AlgorithmResult,
     IterationTrace,
@@ -64,14 +64,18 @@ class WCCProgram(VertexProgram):
 
 
 class WCCKernel(StreamKernel):
-    """:func:`wcc_reference`, one edge chunk at a time.
+    """WCC's exact evaluator: min-label propagation, one edge chunk at
+    a time.
 
+    Each pass relaxes the out-edges of the vertices whose label
+    dropped in the previous pass (every vertex on the first).
     ``symmetrize`` relaxes each directed chunk edge in both directions
-    instead of materialising the mirrored edge set — min-label
+    instead of materialising the mirrored edge set: min-label
     propagation is duplicate-insensitive, so labels, frontiers and
-    iteration counts match the reference exactly (the per-pass trace
-    ``edges`` counts directed active edges, which is what the cost
-    model streams).
+    iteration counts equal a run over the mirrored set, but the
+    per-pass trace ``edges`` counts the directed active edges (what
+    the out-of-core cost model streams).  :func:`wcc_reference` runs
+    the mirrored, deduplicated set with ``symmetrize=False``.
     """
 
     algorithm = "wcc"
@@ -83,6 +87,8 @@ class WCCKernel(StreamKernel):
         self._symmetrize = bool(symmetrize)
         self._labels = np.arange(n, dtype=np.float64)
         self.frontier = np.ones(n, dtype=bool)
+        # An empty graph has no frontier, hence nothing to propagate.
+        self.finished = self.converged = n == 0
         self._limit = max_iterations if max_iterations > 0 else n + 1
         self.trace = IterationTrace(frontiers=[])
         self.values = self._labels
@@ -119,40 +125,17 @@ class WCCKernel(StreamKernel):
 
 def wcc_reference(graph: Graph, symmetrize: bool = True,
                   max_iterations: int = 0) -> AlgorithmResult:
-    """Min-label propagation with an iteration trace.
+    """Min-label propagation with an iteration trace: the
+    :class:`WCCKernel` run over the whole edge list as one chunk.
 
-    ``symmetrize`` mirrors the edges first (true WCC); with it off the
+    ``symmetrize`` mirrors the edges first (true WCC), and the trace
+    counts the mirrored, deduplicated edges; with it off the
     propagation follows edge direction only.
     """
     work = graph.symmetrized() if symmetrize else graph
-    n = work.num_vertices
-    src = np.asarray(work.adjacency.rows)
-    dst = np.asarray(work.adjacency.cols)
-
-    labels = np.arange(n, dtype=np.float64)
-    frontier = np.ones(n, dtype=bool)
-    limit = max_iterations if max_iterations > 0 else n + 1
-
-    trace = IterationTrace(frontiers=[])
-    iterations = 0
-    while frontier.any() and iterations < limit:
-        iterations += 1
-        edge_mask = frontier[src]
-        trace.record(vertices=int(frontier.sum()),
-                     edges=int(edge_mask.sum()),
-                     frontier=frontier)
-        proposed = labels.copy()
-        np.minimum.at(proposed, dst[edge_mask], labels[src[edge_mask]])
-        improved = proposed < labels
-        labels = proposed
-        frontier = improved
-    return AlgorithmResult(
-        algorithm="wcc",
-        values=labels,
-        iterations=iterations,
-        converged=not frontier.any(),
-        trace=trace,
-    )
+    return run_one_chunk(WCCKernel(work.num_vertices, None,
+                                   symmetrize=False,
+                                   max_iterations=max_iterations), work)
 
 
 def component_sizes(labels: np.ndarray) -> dict[int, int]:

@@ -23,14 +23,16 @@ module makes that pipeline concrete:
   execution-time numbers exclude it, so the runner reports both views).
 
 Chunks stream in the global column-major block order, so the node's
-tile stream is the same sequence a whole-graph run produces; analytic
-values come from the algorithm's chunked
-:class:`~repro.algorithms.kernels.StreamKernel` and functional values
-from the shared partitioned loop, and both are bit-identical to
-in-memory runs on the same preprocessed edge list (asserted by tests).
-Chunking only regroups that one stream: subgraph, tile and row ids are
-global, so event counts sum exactly, and ``ufunc.at`` calls in stream
-order equal one call.
+tile stream is the same sequence a whole-graph run produces.  Analytic
+values come from the algorithm's
+:class:`~repro.algorithms.kernels.StreamKernel`, its one exact
+evaluator: an in-memory analytic run (the ``*_reference`` function)
+feeds it the whole edge list as one chunk, this runner the shard's
+chunks.  Functional values come from the shared partitioned loop.  Both
+are bit-identical to in-memory runs on the same preprocessed edge list
+(asserted by tests), because chunking only regroups that one stream:
+subgraph, tile and row ids are global, so event counts sum exactly,
+and ``ufunc.at`` calls in stream order equal one call.
 
 Two residency figures are kept apart.  ``stats.extra
 ["peak_edge_residency"]`` is the modelled node's: it consumes one block

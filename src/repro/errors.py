@@ -67,6 +67,11 @@ class RequestError(ReproError):
     layer maps this (like every ReproError) to a 400 response."""
 
 
+class RequestTooLarge(RequestError):
+    """An HTTP request body exceeds the service's size cap; the service
+    answers 413 without reading it and closes the connection."""
+
+
 class LintError(ReproError):
     """``repro lint`` itself was misused: unknown rule IDs, paths
     outside a package, or a policy naming modules that do not exist."""

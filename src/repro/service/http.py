@@ -28,8 +28,9 @@ GET       ``/v1/health``          Liveness probe plus queue depth,
 ========  ======================  =====================================
 
 Errors are JSON too: ``{"error": ...}`` with 400 for malformed
-requests (:class:`~repro.errors.JobError`), 404/409 for state
-conflicts, 500 for genuine bugs.  The server is a
+requests (:class:`~repro.errors.JobError`), 413 for a body over
+:data:`MAX_BODY_BYTES`, 404/409 for state conflicts, 500 for genuine
+bugs.  The server is a
 ``ThreadingHTTPServer``: each request runs on its own thread against
 the thread-safe service, which is what makes concurrent submissions
 race safely onto one execution.
@@ -45,11 +46,16 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Tuple
 from urllib.parse import parse_qs, urlparse
 
-from repro.errors import ReproError, RequestError
+from repro.errors import ReproError, RequestError, RequestTooLarge
 from repro.obs import metrics as obs_metrics
 from repro.service.daemon import SimulationService
 
-__all__ = ["ServiceHTTPServer", "ServiceHandler", "serve_in_thread"]
+__all__ = ["MAX_BODY_BYTES", "ServiceHTTPServer", "ServiceHandler",
+           "serve_in_thread"]
+
+#: Largest request body the service reads, far above any job file it
+#: serves; a larger one is answered with 413 and never read.
+MAX_BODY_BYTES = 16 * 1024 * 1024
 
 
 class ServiceHandler(BaseHTTPRequestHandler):
@@ -78,11 +84,16 @@ class ServiceHandler(BaseHTTPRequestHandler):
 
     def _read_json(self) -> object:
         length = int(self.headers.get("Content-Length") or 0)
-        if length < 0:
-            # read(-1) would block until the client hangs up, and the
-            # body's end is unknown, so the connection cannot be reused.
+        if not 0 <= length <= MAX_BODY_BYTES:
+            # read(-1) would block until the client hangs up and an
+            # oversized read would buffer the whole body; the body is
+            # left unread, so the connection cannot be reused.
             self.close_connection = True
-            raise RequestError(f"negative Content-Length {length}")
+            if length < 0:
+                raise RequestError(f"negative Content-Length {length}")
+            raise RequestTooLarge(
+                f"Content-Length {length} exceeds the "
+                f"{MAX_BODY_BYTES}-byte request cap")
         raw = self.rfile.read(length) if length else b""
         if not raw:
             raise RequestError("empty request body")
@@ -171,6 +182,8 @@ class ServiceHandler(BaseHTTPRequestHandler):
                                                 "cancelled": True})
             return self._send(404, {
                 "error": f"no route {method} {parsed.path}"})
+        except RequestTooLarge as exc:
+            return self._send(413, {"error": str(exc)})
         except ReproError as exc:
             return self._send(400, {"error": str(exc)})
         except (ValueError, TypeError, KeyError) as exc:

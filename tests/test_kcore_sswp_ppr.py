@@ -16,8 +16,7 @@ import pytest
 from repro.algorithms.kcore import (INIT, REMOVED, KCoreProgram,
                                     core_membership, kcore_reference)
 from repro.algorithms.ppr import PPRProgram, ppr_reference
-from repro.algorithms.registry import (get_program, get_stream_kernel,
-                                       run_reference,
+from repro.algorithms.registry import (get_program, run_reference,
                                        weighted_algorithms)
 from repro.algorithms.sswp import (UNBOUNDED, SSWPProgram,
                                    sswp_reference,
@@ -113,24 +112,6 @@ class TestKCoreReference:
         assert program.reduce_op == "add"
         assert program.needs_active_list
         assert program.k == 4
-
-    def test_kernel_chunk_exact(self, weighted_graph):
-        reference = kcore_reference(weighted_graph, k=3)
-        kernel = get_stream_kernel("kcore")(
-            weighted_graph.num_vertices,
-            weighted_graph.out_degrees(), k=3)
-        src = np.asarray(weighted_graph.adjacency.rows)
-        dst = np.asarray(weighted_graph.adjacency.cols)
-        values = np.asarray(weighted_graph.adjacency.values)
-        while not kernel.finished:
-            kernel.begin_pass()
-            for lo in range(0, src.size, 37):
-                sl = slice(lo, lo + 37)
-                kernel.process_edges(src[sl], dst[sl], values[sl])
-            kernel.end_pass()
-        result = kernel.result()
-        assert np.array_equal(result.values, reference.values)
-        assert result.iterations == reference.iterations
 
 
 class TestSSWPReference:

@@ -15,7 +15,7 @@ from repro.core.outofcore import (
     prepare_on_disk,
 )
 from repro.core.streaming import SubgraphStreamer
-from repro.errors import ConfigError, GraphFormatError
+from repro.errors import ConfigError, ConvergenceError, GraphFormatError
 from repro.graph.generators import rmat
 from repro.graph.graph import Graph
 from repro.graph.preprocess import GraphROrdering, preprocess_edge_list
@@ -166,6 +166,18 @@ class TestRunner:
                                                   source=0)
         assert np.array_equal(ooc_result.values, in_memory.values)
         assert ooc_stats.seconds == pytest.approx(mem_stats.seconds)
+
+    @pytest.mark.parametrize("algorithm", ["pagerank", "ppr"])
+    def test_zero_budget_raises_like_in_memory(self, graph, config,
+                                               tmp_path, algorithm):
+        """No pass can converge within a budget of 0 iterations."""
+        kwargs = dict(max_iterations=0, raise_on_divergence=True)
+        with pytest.raises(ConvergenceError, match="in 0 iterations"):
+            GraphR(config).run(algorithm, graph, **kwargs)
+        prepare_on_disk(graph, tmp_path, config)
+        runner = OutOfCoreRunner(tmp_path, config)
+        with pytest.raises(ConvergenceError, match="in 0 iterations"):
+            runner.run(algorithm, **kwargs)
 
     def test_disk_time_reported_separately(self, graph, config,
                                            tmp_path):

@@ -125,17 +125,21 @@ class TestAPI:
         assert err.value.code == 400
 
     def test_negative_content_length_is_400(self, queue_only):
-        """``rfile.read(-1)`` would wait for the client to hang up; the
-        socket timeout turns such a hang into a failure."""
-        _, server, _ = queue_only
-        with socket.create_connection(server.server_address[:2],
-                                      timeout=5) as sock:
-            sock.sendall(b"POST /v1/jobs HTTP/1.1\r\n"
-                         b"Host: localhost\r\n"
-                         b"Content-Type: application/json\r\n"
-                         b"Content-Length: -1\r\n\r\n")
-            status_line = sock.makefile("rb").readline()
-        assert status_line.split()[1] == b"400"
+        """``rfile.read(-1)`` would wait for the client to hang up, and
+        a body over the cap would be read whole; the socket timeout
+        turns such a hang into a failure.  Neither body is read, and
+        the service keeps answering."""
+        _, server, client = queue_only
+        for length, status in ((-1, b"400"), (10 ** 12, b"413")):
+            with socket.create_connection(server.server_address[:2],
+                                          timeout=5) as sock:
+                sock.sendall(b"POST /v1/jobs HTTP/1.1\r\n"
+                             b"Host: localhost\r\n"
+                             b"Content-Type: application/json\r\n"
+                             b"Content-Length: %d\r\n\r\n" % length)
+                status_line = sock.makefile("rb").readline()
+            assert status_line.split()[1] == status
+        assert client.health()
 
     def test_invalid_job_entry_is_400(self, served):
         _, _, client = served

@@ -52,6 +52,21 @@ class TestReference:
         assert result.trace.frontiers is not None
         assert result.trace.frontiers[0].all()
 
+    def test_trace_counts_the_mirrored_edge_set(self):
+        """A reciprocal pair plus a parallel edge: mirrored and
+        deduplicated that is 2 edges, directed it is 3.  The CPU and
+        GPU baselines charge from this trace."""
+        graph = Graph.from_edges([(0, 1), (1, 0), (0, 1)], num_vertices=2)
+        sym = wcc_reference(graph)
+        directed = wcc_reference(graph, symmetrize=False)
+        assert graph.symmetrized().num_edges == 2
+        assert sym.trace.active_edges == [2, 1]
+        assert directed.trace.active_edges == [3, 1]
+        for result in (sym, directed):
+            assert np.array_equal(result.values, [0, 0])
+            assert result.trace.active_vertices == [2, 1]
+            assert result.converged
+
     def test_iteration_cap(self, path_graph):
         result = wcc_reference(path_graph, max_iterations=1)
         assert result.iterations == 1
