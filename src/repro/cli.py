@@ -94,8 +94,9 @@ def build_parser() -> argparse.ArgumentParser:
                      help="GraphR execution mode (default: the "
                           "runtime's analytic-mode configuration)")
     run.add_argument("--batch-size", type=int, default=None,
-                     help="subgraph tiles per batched functional "
-                          "engine call (0 = per-tile loop)")
+                     help="crossbar tiles per engine call on the "
+                          "functional tile path (positive; clean "
+                          "configs take the cell path)")
     run.add_argument("--deployment", default=None,
                      choices=["single", "out-of-core", "multi-node"],
                      help="GraphR deployment scenario (default: "

@@ -73,14 +73,13 @@ class GraphRConfig:
         functionally.  The batched engine streams tiles vectorised, so
         the default covers paper-scale runs (WV/SD PageRank and SSSP).
     functional_batch_size:
-        Functional-mode pass path.  Any positive value runs clean
-        configs (no read noise; for MAC also no programming variation
-        or IR drop) on the cell path, which contracts programmed
-        crossbar cells without building dense tiles, and noisy or
-        variational configs on batches of this many non-empty
-        ``S x S`` crossbar tiles per engine call.  ``0`` selects the
-        per-tile reference loop.  All paths are bit-identical; the
-        per-tile loop is kept as the equivalence-testing oracle.
+        Non-empty ``S x S`` crossbar tiles per engine call on the tile
+        path; must be positive.  Clean configs (no read noise; for MAC
+        also no programming variation or IR drop, and column sums of
+        codes below 2**53) take the cell path, which contracts
+        programmed crossbar cells without building dense tiles and
+        ignores this knob; the others take the tile path.  Every batch
+        size and both paths are bit-identical.
     mem_bandwidth_bps:
         Internal sequential bandwidth of the memory-ReRAM region
         feeding the GEs (edge fetch).
@@ -140,8 +139,8 @@ class GraphRConfig:
             raise ConfigError("mode must be auto, functional or analytic")
         if self.functional_tile_budget < 0:
             raise ConfigError("functional_tile_budget must be non-negative")
-        if self.functional_batch_size < 0:
-            raise ConfigError("functional_batch_size must be non-negative")
+        if self.functional_batch_size <= 0:
+            raise ConfigError("functional_batch_size must be positive")
         if self.crossbars_per_ge % self.slices:
             raise ConfigError(
                 f"crossbars_per_ge {self.crossbars_per_ge} must be a "

@@ -10,18 +10,16 @@ shortcut is bit-equivalent to composing the individual device models.
 
 The tile primitives are *batched*: :meth:`GraphEngine.mac_batch` and
 :meth:`GraphEngine.addop_batch` take ``(B, S, W)`` stacks of dense
-tiles and contract a whole batch with a single einsum / fold.  The
-per-tile entry points (:meth:`mac_tile`, :meth:`addop_tile`) delegate
-to the batched kernels with ``B = 1``, so both granularities execute
-the exact same arithmetic (einsum reduction order, RNG draw order) and
-stay bit-identical.
+tiles and contract a whole batch with a single einsum / fold.  A batch
+of one tile is the same arithmetic (einsum reduction order, RNG draw
+order) as any larger batch, so the batch size never changes a result.
 
 A clean engine (no read noise; for MAC also no programming variation
 or IR drop, and column sums that stay below 2**53) skips the dense
 tiles altogether: :meth:`mac_cells` contracts only the programmed
 cells of a partition and :meth:`addop_cells` relaxes one candidate per
 edge.  :attr:`exact_mac_cells` / :attr:`exact_addop_cells` say when
-that is bit-identical to the tile path: integer-valued float64 column
+that is bit-identical to the tile batches: integer-valued float64 column
 sums below 2**53 are exact in any order, the scales are powers of two,
 and min/max folds do not depend on order.  Noisy and variational
 engines keep the tiles, because their RNG draw order is part of the
@@ -163,29 +161,12 @@ class GraphEngine:
                     time.perf_counter() - t0)
         return out, events
 
-    def mac_tile(self, dense_tile: np.ndarray,
-                 inputs: np.ndarray) -> Tuple[np.ndarray, IterationEvents]:
-        """Single-tile parallel-MAC presentation: ``out = inputs @ tile``.
-
-        ``dense_tile`` is ``(S, W)`` coefficients, ``inputs`` length S.
-        Delegates to :meth:`mac_batch` with a batch of one.
-        """
-        tile = np.asarray(dense_tile, dtype=np.float64)
-        x = np.asarray(inputs, dtype=np.float64)
-        if tile.ndim != 2 or x.ndim != 1 or tile.shape[0] != x.shape[0]:
-            raise DeviceError(
-                f"tile {tile.shape} incompatible with inputs {x.shape}"
-            )
-        out, events = self.mac_batch(tile[None], x[None])
-        return out[0], events
-
     # ------------------------------------------------------------------
     # Parallel-add-op (Section 4.2, Figure 16 c3)
     # ------------------------------------------------------------------
     def addop_batch(self, dense_tiles: np.ndarray,
                     source_values: np.ndarray,
                     absent_value: float,
-                    active_mask: Optional[np.ndarray] = None,
                     reduce_op: str = "min",
                     ) -> Tuple[np.ndarray, IterationEvents]:
         """Parallel-add-op presentations for a stack of tiles.
@@ -202,9 +183,7 @@ class GraphEngine:
         folded with elementwise maximum (the same comparators, other
         polarity).  In both polarities rows whose cells are all absent
         contribute only the identity, so folding every row is
-        equivalent to folding the active ones; ``active_mask``
-        (``(B, S)`` booleans) additionally silences rows that hold
-        edges but whose sources are inactive.  Returns the folded
+        equivalent to folding the active ones.  Returns the folded
         ``(B, W)`` candidate block.
         """
         if reduce_op not in ("min", "max"):
@@ -217,9 +196,6 @@ class GraphEngine:
             raise DeviceError("weights/source shape mismatch")
         candidates, absent_cells = _saturated_candidates(
             w, src[:, :, None], absent_value, reduce_op)
-        if active_mask is not None:
-            candidates = np.where(active_mask[:, :, None], candidates,
-                                  absent_value)
         if reduce_op == "min":
             out = candidates.min(axis=1)
             out = self._maybe_noise(out, clip_max=absent_value)
@@ -254,33 +230,6 @@ class GraphEngine:
                 "Host seconds inside the functional tile kernels").inc(
                     time.perf_counter() - t0)
         return out, events
-
-    def addop_tile(self, dense_weights: np.ndarray,
-                   source_values: np.ndarray,
-                   active_rows: np.ndarray,
-                   absent_value: float,
-                   reduce_op: str = "min"
-                   ) -> Tuple[np.ndarray, IterationEvents]:
-        """Single-tile parallel-add-op presentations.
-
-        ``active_rows`` lists the source rows driven this iteration;
-        delegates to :meth:`addop_batch` with a batch of one.
-        """
-        w = np.asarray(dense_weights, dtype=np.float64)
-        src = np.asarray(source_values, dtype=np.float64)
-        active = np.asarray(active_rows, dtype=np.int64)
-        if w.ndim != 2 or src.shape != (w.shape[0],):
-            raise DeviceError("weights/source shape mismatch")
-        if active.size == 0:
-            return np.full(w.shape[1], absent_value), IterationEvents()
-        if active.min() < 0 or active.max() >= w.shape[0]:
-            raise DeviceError("active row out of range")
-        mask = np.zeros((1, w.shape[0]), dtype=bool)
-        mask[0, active] = True
-        out, events = self.addop_batch(w[None], src[None], absent_value,
-                                       active_mask=mask,
-                                       reduce_op=reduce_op)
-        return out[0], events
 
     # ------------------------------------------------------------------
     # Cell path (clean engines)
@@ -372,8 +321,8 @@ class GraphEngine:
         """Inject analog read noise when configured.
 
         Draws are consumed in C order, so one call over a ``(B, W)``
-        batch reads the same stream as B sequential ``(W,)`` calls —
-        batched and per-tile execution share noise realisations.
+        batch reads the same stream as B sequential ``(1, W)`` calls —
+        every batch size shares noise realisations.
         """
         if self.config.noise_sigma <= 0:
             return values

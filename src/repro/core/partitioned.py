@@ -308,10 +308,10 @@ class PartitionedFunctionalRunner:
             {} if persistent_partitions else None
         self._cell_cache: Optional[Dict[int, MacCells]] = \
             {} if persistent_partitions else None
-        mac = program.pattern is MappingPattern.PARALLEL_MAC
         #: Whether the scans take the cell path (see the mappers).
-        self.cell_path = config.functional_batch_size > 0 and (
-            self.engine.exact_mac_cells if mac
+        self.cell_path = (
+            self.engine.exact_mac_cells
+            if program.pattern is MappingPattern.PARALLEL_MAC
             else self.engine.exact_addop_cells)
         block = config.effective_block_size(self.num_vertices)
         # Same padding every partition's streamer derives.
@@ -364,8 +364,6 @@ class PartitionedFunctionalRunner:
                 partition.streamer, self.engine, padded_inputs, accum,
                 None if cells is not None
                 else self._coefficients(partition),
-                frontier=None,
-                batch_size=cfg.functional_batch_size,
                 cells=cells)
             events.scanned_edges = partition.graph.num_edges
             events.apply_ops = partition.col_hi - partition.col_lo
@@ -396,9 +394,7 @@ class PartitionedFunctionalRunner:
             events = run_addop_scan(
                 partition.streamer, self.engine, padded_dist, accum,
                 self._coefficients(partition), absent,
-                frontier=frontier,
-                batch_size=cfg.functional_batch_size,
-                reduce_op=reduce_op)
+                frontier=frontier, reduce_op=reduce_op)
             events.scanned_edges = partition.graph.num_edges
             per_partition.append(events)
             spans.append((partition.col_lo, partition.col_hi))

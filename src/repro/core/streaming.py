@@ -6,14 +6,15 @@ execution modes:
 
 * :meth:`iter_subgraphs` — yields non-empty subgraph tiles in the
   global streaming order (column-major blocks, column-major subgraphs)
-  for the functional engines;
+  for the Figure 10 instruction trace (:mod:`repro.core.isa`);
 * :meth:`iter_tile_batches` — stacks consecutive non-empty ``S x S``
   crossbar tiles into dense ``(batch, S, S)`` blocks with one
   vectorised scatter over the preprocessed edge arrays (no per-tile
-  Python work), feeding the functional engine of noisy and variational
-  configs and the per-tile oracle; crossbar granularity is the
-  hardware's sparsity skip — empty crossbars inside a subgraph are
-  never materialised;
+  Python work), feeding the functional engine of noisy, variational
+  and too-wide configs; crossbar granularity is the hardware's
+  sparsity skip — empty crossbars inside a subgraph are never
+  materialised.  Its crossbar index is built on the first call, so
+  analytic and clean functional runs never pay for it;
 * :meth:`mac_cells` / :meth:`active_edges` — the functional cell path
   of clean engines: a partition's programmed MAC cells (built once per
   run), or one pass's active edges, with :meth:`cell_events` counting
@@ -105,6 +106,19 @@ class TileBatch:
 
 
 @dataclass
+class _CrossbarIndex:
+    """Keys of the tile-batch scatter: each edge's non-empty crossbar
+    ordinal and in-crossbar column (streaming order), and each
+    crossbar's subgraph and global vertex origin."""
+
+    ordinal_of_edge: np.ndarray
+    col_in_crossbar: np.ndarray
+    subgraph: np.ndarray
+    row_base: np.ndarray
+    col_base: np.ndarray
+
+
+@dataclass
 class MacCells:
     """The programmed crossbar cells of one graph's MAC matrix.
 
@@ -163,35 +177,14 @@ class SubgraphStreamer:
             self._crossbar_of_edge * s + self._row_in_tile
         )
 
-        # Subgraph boundaries for functional iteration.
+        # Subgraph boundaries (iter_subgraphs, num_nonempty_subgraphs).
         self._boundaries = np.flatnonzero(
             np.concatenate(([True],
                             self._subgraph_of_edge[1:]
                             != self._subgraph_of_edge[:-1]))
         )
-        # Crossbar-granular view for the batched functional path: the
-        # streaming sort is column-major inside each subgraph, so the
-        # sorted edges are also grouped by S x S crossbar tile.  Each
-        # non-empty crossbar gets an ordinal, and each edge knows its
-        # ordinal plus in-crossbar coordinates — the keys of the
-        # vectorised batch scatter.
-        self._col_in_crossbar = self._col_in_tile % s
-        if self._gid.size:
-            cb_bounds = np.flatnonzero(
-                np.concatenate(([True],
-                                self._crossbar_of_edge[1:]
-                                != self._crossbar_of_edge[:-1]))
-            )
-        else:
-            cb_bounds = np.zeros(0, dtype=np.int64)
-        cb_counts = np.diff(np.concatenate((cb_bounds, [self._gid.size])))
-        self._cb_ordinal_of_edge = np.repeat(
-            np.arange(cb_bounds.size, dtype=np.int64), cb_counts)
-        cb_keys = self._crossbar_of_edge[cb_bounds]
-        self._cb_subgraph = cb_keys // config.logical_crossbars
-        sub_rows, sub_cols = self._subgraph_origins(self._cb_subgraph)
-        self._cb_row_base = sub_rows
-        self._cb_col_base = sub_cols + (cb_keys % config.logical_crossbars) * s
+        # Built by the first tile batch (see _crossbar_index).
+        self._crossbars: Optional[_CrossbarIndex] = None
         # Scratch buffer reused across batches and iterations.
         self._batch_buffer: Optional[np.ndarray] = None
 
@@ -216,13 +209,6 @@ class SubgraphStreamer:
         grid_r, grid_c = o.subgraph_grid
         return o.blocks_per_side ** 2 * grid_r * grid_c
 
-    @property
-    def preprocessed_order(self) -> np.ndarray:
-        """Permutation applied to the graph's edges (read-only)."""
-        view = self._perm.view()
-        view.flags.writeable = False
-        return view
-
     # ------------------------------------------------------------------
     def _subgraph_origins(self, subgraph_indices: np.ndarray
                           ) -> Tuple[np.ndarray, np.ndarray]:
@@ -239,7 +225,31 @@ class SubgraphStreamer:
         cols = block_j * o.block_size + tile_j * o.tile_cols
         return rows, cols
 
-    def _active_mask(self, frontier: np.ndarray) -> np.ndarray:
+    def _crossbar_index(self) -> _CrossbarIndex:
+        """The tile batches' crossbar index, built on the first call.
+
+        The streaming sort is column-major inside each subgraph, so the
+        sorted edges are also grouped by ``S x S`` crossbar tile: each
+        run of equal crossbar ids is one non-empty crossbar, numbered
+        in streaming order.
+        """
+        if self._crossbars is None:
+            s = self.config.crossbar_size
+            per_subgraph = self.config.logical_crossbars
+            first = run_starts(self._crossbar_of_edge)
+            keys = self._crossbar_of_edge[first]
+            subgraphs = keys // per_subgraph
+            rows, cols = self._subgraph_origins(subgraphs)
+            self._crossbars = _CrossbarIndex(
+                ordinal_of_edge=np.cumsum(first, dtype=np.int64) - 1,
+                col_in_crossbar=self._col_in_tile % s,
+                subgraph=subgraphs,
+                row_base=rows,
+                col_base=cols + (keys % per_subgraph) * s,
+            )
+        return self._crossbars
+
+    def _source_mask(self, frontier: np.ndarray) -> np.ndarray:
         """Per-edge (streaming order) mask of active-source edges."""
         frontier = np.asarray(frontier, dtype=bool)
         if frontier.shape != (self.graph.num_vertices,):
@@ -317,28 +327,28 @@ class SubgraphStreamer:
             raise PartitionError("batch_size must be positive")
         if combine not in ("add", "min", "max"):
             raise PartitionError(f"unknown combine mode {combine!r}")
+        index = self._crossbar_index()
         values = np.asarray(coefficients, dtype=np.float64)[self._perm]
-        ordinals = self._cb_ordinal_of_edge
+        ordinals = index.ordinal_of_edge
         rows = self._row_in_tile
-        cols = self._col_in_crossbar
+        cols = index.col_in_crossbar
         if frontier is not None:
-            keep = self._active_mask(frontier)
+            keep = self._source_mask(frontier)
             values = values[keep]
             rows = rows[keep]
             cols = cols[keep]
             active, ordinals = np.unique(ordinals[keep],
                                          return_inverse=True)
         else:
-            active = np.arange(self._cb_row_base.size, dtype=np.int64)
+            active = np.arange(index.row_base.size, dtype=np.int64)
         if active.size == 0:
             return
-        row_bases = self._cb_row_base[active]
-        col_bases = self._cb_col_base[active]
+        row_bases = index.row_base[active]
+        col_bases = index.col_base[active]
         # A subgraph "starts" at its first active crossbar; summing the
         # per-batch start counts therefore counts each active subgraph
         # exactly once, however batches split its crossbars.
-        subs = self._cb_subgraph[active]
-        sub_start = np.concatenate(([True], subs[1:] != subs[:-1]))
+        sub_start = run_starts(index.subgraph[active])
         sub_starts_before = np.concatenate(([0], np.cumsum(sub_start)))
         # Edges arrive sorted by streaming order, hence by ordinal:
         # every batch of crossbar tiles owns one contiguous edge range.
@@ -417,7 +427,7 @@ class SubgraphStreamer:
         if frontier is None:
             active = slice(None)
         else:
-            active = np.flatnonzero(self._active_mask(frontier))
+            active = np.flatnonzero(self._source_mask(frontier))
         weights = np.asarray(coefficients,
                              dtype=np.float64)[self._perm[active]]
         return active, weights, self._src[active], self._dst[active]
@@ -474,7 +484,7 @@ class SubgraphStreamer:
             mask = slice(None)
             edges = int(self._gid.size)
         else:
-            mask = self._active_mask(frontier)
+            mask = self._source_mask(frontier)
             edges = int(np.count_nonzero(mask))
             if edges == 0:
                 return IterationEvents()

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
 from repro.core.config import GraphRConfig
+from repro.core.engine import GraphEngine
 from repro.graph.coo import COOMatrix
 from repro.graph.generators import chain_graph, erdos_renyi, rmat
 from repro.graph.graph import Graph
@@ -69,3 +72,16 @@ def small_config() -> GraphRConfig:
 def rng() -> np.random.Generator:
     """Deterministic RNG for test data."""
     return np.random.default_rng(1234)
+
+
+@pytest.fixture(scope="session")
+def forced_tiles():
+    """Context-manager factory: inside ``with forced_tiles():`` every
+    :class:`GraphEngine` reports its cell path inexact, so scans run
+    tile batches even on clean configs.  The tile path at a batch size
+    of one is the oracle the cell path and larger batches are compared
+    with."""
+    inexact = property(lambda self: False)
+    return lambda: mock.patch.multiple(GraphEngine,
+                                       exact_mac_cells=inexact,
+                                       exact_addop_cells=inexact)

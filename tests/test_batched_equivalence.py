@@ -1,17 +1,20 @@
-"""Functional engine paths: bit-equivalence with the per-tile oracle.
+"""Functional engine paths: bit-equivalence with the tile path at a
+batch size of one.
 
-Every positive batch size must produce results and event counts
-*bit-identical* to the per-tile reference loop (``batch_size=0``) —
-across mapping patterns, batch sizes, frontiers, and with
-noise/variation enabled.  Clean engines take the cell path (programmed
-cells contracted with one segmented integer sum, add-op candidates
-folded edge by edge); noisy and variational ones stack dense
-``(B, S, S)`` tiles (vectorised scatter + one einsum per stack).  The
-clean parameters of the controller test and the hypothesis oracle below
-compare the cell path with the oracle; the others compare the tile
-batches.  This file also carries the regression tests for the
-correctness bugs the batching work exposed: duplicate-edge loss in the
-MAC scatter and correlated noise/variation RNG streams.
+Every batch size must produce results and event counts *bit-identical*
+to the tile path run one crossbar tile per engine call — across mapping
+patterns, batch sizes, frontiers, and with noise/variation enabled.
+Clean engines take the cell path (programmed cells contracted with one
+segmented integer sum, add-op candidates folded edge by edge); noisy
+and variational ones stack dense ``(B, S, S)`` tiles (vectorised
+scatter + one einsum per stack).  The oracle runs clean configs on the
+tile path too: inside the ``forced_tiles`` fixture's context every
+engine reports its cell path inexact.  The clean parameters of the
+controller test and the hypothesis oracle below compare the cell path
+with it; the others compare tile batches of several sizes.  This file
+also carries the regression tests for the correctness bugs the batching
+work exposed: duplicate-edge loss in the MAC scatter and correlated
+noise/variation RNG streams.
 """
 
 from __future__ import annotations
@@ -24,11 +27,11 @@ from hypothesis import strategies as st
 from repro.algorithms.registry import get_program
 from repro.algorithms.spmv import SpMVProgram
 from repro.algorithms.sssp import INFINITY, SSSPProgram
-from repro.core.addop_mapper import run_addop_iteration, run_addop_scan
+from repro.core.addop_mapper import run_addop_scan
 from repro.core.config import GraphRConfig
 from repro.core.controller import Controller
 from repro.core.engine import GraphEngine
-from repro.core.mac_mapper import run_mac_iteration, run_mac_scan
+from repro.core.mac_mapper import run_mac_scan
 from repro.core.partitioned import partition_by_destination
 from repro.core.streaming import SubgraphStreamer
 from repro.graph.coo import COOMatrix
@@ -70,15 +73,21 @@ def _run(graph, algorithm, kwargs, batch_size, **overrides):
     return controller.run_functional(**kwargs)
 
 
+def _padded_length(graph, config):
+    block = config.effective_block_size(graph.num_vertices)
+    return -(-graph.num_vertices // block) * block + config.tile_cols
+
+
 class TestControllerEquivalence:
     @pytest.mark.parametrize("algorithm,kwargs", ALGORITHMS)
     @pytest.mark.parametrize("overrides", NONIDEALITIES,
                              ids=["clean", "noise", "variation", "both"])
     def test_batched_matches_per_tile(self, algorithm, kwargs,
-                                      overrides):
+                                      overrides, forced_tiles):
         graph = rmat(6, 200, seed=12, weighted=True)
-        reference, ref_stats = _run(graph, algorithm, kwargs, 0,
-                                    **overrides)
+        with forced_tiles():
+            reference, ref_stats = _run(graph, algorithm, kwargs, 1,
+                                        **overrides)
         for batch_size in BATCH_SIZES:
             result, stats = _run(graph, algorithm, kwargs, batch_size,
                                  **overrides)
@@ -88,64 +97,84 @@ class TestControllerEquivalence:
             assert stats.to_dict() == ref_stats.to_dict(), \
                 f"stats diverge at batch_size={batch_size}"
 
-    def test_blocked_graph_equivalence(self):
+    def test_blocked_graph_equivalence(self, forced_tiles):
         graph = erdos_renyi(48, 300, seed=2)
-        a, sa = _run(graph, "pagerank", {}, 0, block_size=16)
+        with forced_tiles():
+            a, sa = _run(graph, "pagerank", {}, 1, block_size=16)
         b, sb = _run(graph, "pagerank", {}, 7, block_size=16)
         assert np.array_equal(a.values, b.values)
         assert sa.to_dict() == sb.to_dict()
 
 
 class TestMapperEquivalence:
-    @pytest.fixture
-    def cfg(self):
-        return _config(8)
-
-    def test_frontier_restricted_addop_batches(self, cfg,
-                                               small_weighted_graph):
-        """Partial frontiers must restrict batched add-op work exactly
-        like the per-tile loop's active-list filtering."""
+    def test_frontier_restricted_addop_batches(self, small_weighted_graph,
+                                               forced_tiles):
+        """Partial frontiers must restrict tile batches of every size,
+        and the cell path, to the same active-source edges."""
         graph = small_weighted_graph
+        n = graph.num_vertices
         program = SSSPProgram(source=0)
-        streamer = SubgraphStreamer(graph, cfg)
         fmt = FixedPointFormat(16, 0)
         coeffs = program.crossbar_coefficient(graph)
         rng = np.random.default_rng(3)
-        props = rng.integers(0, 40, graph.num_vertices).astype(float)
-        props[rng.random(graph.num_vertices) < 0.5] = INFINITY
+        props = rng.integers(0, 40, n).astype(float)
+        props[rng.random(n) < 0.5] = INFINITY
         frontier = props != INFINITY
-        outs = []
-        for batch_size in (0, 1, 5, 1000):
-            engine = GraphEngine(cfg, coeff_fmt=fmt, input_fmt=fmt)
-            outs.append(run_addop_iteration(
-                streamer, engine, program, graph, props, coeffs,
-                frontier=frontier, batch_size=batch_size))
-        for new_props, changed, events in outs[1:]:
-            assert np.array_equal(new_props, outs[0][0])
-            assert np.array_equal(changed, outs[0][1])
-            assert events == outs[0][2]
 
-    def test_mac_iteration_events_match(self, cfg, small_graph):
+        def scan(batch_size):
+            config = _config(batch_size)
+            padded = np.full(_padded_length(graph, config), INFINITY)
+            padded[:n] = props
+            accum = padded.copy()
+            events = run_addop_scan(
+                SubgraphStreamer(graph, config),
+                GraphEngine(config, coeff_fmt=fmt, input_fmt=fmt),
+                padded, accum, coeffs, INFINITY, frontier=frontier)
+            return accum, events
+
+        with forced_tiles():
+            outs = [scan(batch_size) for batch_size in (1, 5, 1000)]
+        outs.append(scan(8))
+        assert outs[0][1].edges == int(frontier[
+            np.asarray(graph.adjacency.rows)].sum())
+        for accum, events in outs[1:]:
+            assert np.array_equal(accum, outs[0][0])
+            assert events == outs[0][1]
+
+    def test_mac_iteration_events_match(self, small_graph, forced_tiles):
         program = SpMVProgram()
-        streamer = SubgraphStreamer(small_graph, cfg)
         fmt = FixedPointFormat(16, 8)
         props = program.initial_properties(small_graph)
         coeffs = program.crossbar_coefficient(small_graph)
-        per_tile = run_mac_iteration(
-            streamer, GraphEngine(cfg, coeff_fmt=fmt, input_fmt=fmt),
-            program, small_graph, props, coeffs, batch_size=0)
-        batched = run_mac_iteration(
-            streamer, GraphEngine(cfg, coeff_fmt=fmt, input_fmt=fmt),
-            program, small_graph, props, coeffs, batch_size=6)
-        assert np.array_equal(per_tile[0], batched[0])
-        assert per_tile[2] == batched[2]
-        assert batched[2].edges == small_graph.num_edges
+
+        def scan(batch_size):
+            config = _config(batch_size)
+            length = _padded_length(small_graph, config)
+            inputs = np.zeros(length)
+            inputs[:small_graph.num_vertices] = program.source_input(
+                props, small_graph)
+            accum = np.zeros(length)
+            events = run_mac_scan(
+                SubgraphStreamer(small_graph, config),
+                GraphEngine(config, coeff_fmt=fmt, input_fmt=fmt),
+                inputs, accum, coeffs)
+            return accum, events
+
+        with forced_tiles():
+            per_tile = scan(1)
+            tiles = scan(6)
+        cells = scan(6)
+        for accum, events in (tiles, cells):
+            assert np.array_equal(per_tile[0], accum)
+            assert per_tile[1] == events
+        assert cells[1].edges == small_graph.num_edges
 
 
 class TestDuplicateEdges:
     """Regression: the MAC scatter used to keep only the last value of
     duplicate coordinates, while :meth:`COOMatrix.to_dense` (and the
-    references) sum them."""
+    references) sum them.  Each case runs the cell path and tile
+    batches of ``batch_size``."""
 
     @pytest.fixture
     def multigraph(self):
@@ -155,47 +184,47 @@ class TestDuplicateEdges:
         return Graph.from_edges(edges, num_vertices=4, weighted=True,
                                 name="multi")
 
-    @pytest.mark.parametrize("batch_size", [0, 2, 64])
-    def test_functional_spmv_matches_dense(self, multigraph, batch_size):
-        cfg = _config(batch_size)
+    @pytest.mark.parametrize("batch_size", [1, 2, 64])
+    def test_functional_spmv_matches_dense(self, multigraph, batch_size,
+                                           forced_tiles):
         program = SpMVProgram()
-        streamer = SubgraphStreamer(multigraph, cfg)
-        fmt = FixedPointFormat(16, 8)
-        engine = GraphEngine(cfg, coeff_fmt=fmt, input_fmt=fmt)
         x = np.array([1.0, 2.0, 4.0, 8.0])
         coeffs = program.crossbar_coefficient(multigraph)
-        new_props, _, _ = run_mac_iteration(
-            streamer, engine, program, multigraph, x, coeffs,
-            batch_size=batch_size)
         dense = np.zeros((4, 4))
         np.add.at(dense, (np.asarray(multigraph.adjacency.rows),
                           np.asarray(multigraph.adjacency.cols)), coeffs)
         expected = program.source_input(x, multigraph) @ dense
-        # Exact up to the 16.8 fixed-point quantisation of each cell.
-        assert np.allclose(new_props, expected, atol=8 * 2.0 ** -9)
-        # The triplicated cell carries the *sum* of its coefficients
-        # ((0.25 + 0.5 + 0.125) / outdeg 3); last-write-wins would have
-        # kept only 0.125 / 3.
-        assert new_props[1] == pytest.approx(0.875 / 3, abs=2.0 ** -8)
+        controller = Controller(_config(batch_size), multigraph, program)
+        cells, _ = controller.run_functional(x=x)
+        with forced_tiles():
+            controller = Controller(_config(batch_size), multigraph,
+                                    program)
+            tiles, _ = controller.run_functional(x=x)
+        for result in (cells, tiles):
+            new_props = result.values
+            # Exact up to the 16.8 fixed-point quantisation of each
+            # cell.
+            assert np.allclose(new_props, expected, atol=8 * 2.0 ** -9)
+            # The triplicated cell carries the *sum* of its
+            # coefficients ((0.25 + 0.5 + 0.125) / outdeg 3);
+            # last-write-wins would have kept only 0.125 / 3.
+            assert new_props[1] == pytest.approx(0.875 / 3,
+                                                 abs=2.0 ** -8)
 
-    @pytest.mark.parametrize("batch_size", [0, 2])
-    def test_addop_duplicates_take_minimum(self, multigraph, batch_size):
+    @pytest.mark.parametrize("batch_size", [1, 2])
+    def test_addop_duplicates_take_minimum(self, batch_size,
+                                           forced_tiles):
         """Parallel relaxations through parallel edges keep the
         lightest weight — matching the reference's edge-wise relax."""
-        cfg = _config(batch_size)
-        program = SSSPProgram(source=0)
-        streamer = SubgraphStreamer(multigraph, cfg)
-        fmt = FixedPointFormat(16, 0)
-        engine = GraphEngine(cfg, coeff_fmt=fmt, input_fmt=fmt)
         edges = [(0, 1, 9.0), (0, 1, 2.0), (0, 1, 5.0)]
         g = Graph.from_edges(edges, num_vertices=4, weighted=True)
-        streamer = SubgraphStreamer(g, cfg)
-        props = np.array([0.0, INFINITY, INFINITY, INFINITY])
-        coeffs = program.crossbar_coefficient(g)
-        new_props, _, _ = run_addop_iteration(
-            streamer, engine, program, g, props, coeffs,
-            frontier=props != INFINITY, batch_size=batch_size)
-        assert new_props[1] == 2.0
+        program = SSSPProgram(source=0)
+        cells, _ = Controller(_config(batch_size), g,
+                              program).run_functional(source=0)
+        with forced_tiles():
+            tiles, _ = Controller(_config(batch_size), g,
+                                  program).run_functional(source=0)
+        assert cells.values[1] == tiles.values[1] == 2.0
 
 
 class TestRNGIndependence:
@@ -297,6 +326,8 @@ class TestWidthGuard:
     below 2**53; wider formats must keep the tile path."""
 
     def test_wide_codes_match_the_per_tile_oracle(self):
+        """A 32-bit format leaves the tile path the only path, so two
+        batch sizes of it are compared."""
         # Eight sources, each with one edge into vertex 0 of the same
         # crossbar: every column sum adds eight products near 2**64.
         top = float(2 ** 32 - 1)
@@ -305,7 +336,7 @@ class TestWidthGuard:
         graph = Graph.from_edges(edges, num_vertices=10, weighted=True)
         x = np.array([top - 999.0 * i for i in range(10)])
         outputs = []
-        for batch_size in (0, 256):
+        for batch_size in (1, 256):
             config = GraphRConfig(data_bits=32, frac_bits=0,
                                   mode="functional",
                                   functional_batch_size=batch_size)
@@ -329,7 +360,7 @@ class TestWidthGuard:
 
 
 # ----------------------------------------------------------------------
-# Hypothesis oracle: the cell path against the per-tile loop
+# Hypothesis oracle: the cell path against the tile path at batch 1
 # ----------------------------------------------------------------------
 @st.composite
 def _cell_cases(draw):
@@ -378,15 +409,10 @@ def _forbid_tiles(engine):
     return engine
 
 
-def _padded_length(graph, config):
-    block = config.effective_block_size(graph.num_vertices)
-    return -(-graph.num_vertices // block) * block + config.tile_cols
-
-
 @settings(max_examples=150, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(case=_cell_cases(), frac_bits=st.sampled_from([0, 3, 8, 15]))
-def test_mac_cells_match_per_tile_oracle(case, frac_bits):
+def test_mac_cells_match_per_tile_oracle(case, frac_bits, forced_tiles):
     graph, config, bounds, rnd = case
     fmt = FixedPointFormat(16, frac_bits)
     # Quarter steps: some cells encode to zero alone but not summed
@@ -400,21 +426,23 @@ def test_mac_cells_match_per_tile_oracle(case, frac_bits):
         rnd.choice([0.0, 1.0, 2.5, 7.25, 300.0]) * rnd.random()
         for _ in range(graph.num_vertices)]
 
-    def run(batch_size):
-        engine = GraphEngine(config, coeff_fmt=fmt, input_fmt=fmt)
-        if batch_size:
-            assert engine.exact_mac_cells
+    def run(scan_config):
+        engine = GraphEngine(scan_config, coeff_fmt=fmt, input_fmt=fmt)
+        if engine.exact_mac_cells:
             _forbid_tiles(engine)
         accum = np.zeros(length)
         events = _scan_all(
-            graph, config, bounds, coefficients,
+            graph, scan_config, bounds, coefficients,
             lambda streamer, coeffs: run_mac_scan(
-                streamer, engine, inputs, accum, coeffs,
-                batch_size=batch_size))
+                streamer, engine, inputs, accum, coeffs))
         return accum, events
 
-    oracle_accum, oracle_events = run(0)
-    cell_accum, cell_events = run(256)
+    with forced_tiles():
+        oracle_accum, oracle_events = run(
+            config.with_overrides(functional_batch_size=1))
+    assert GraphEngine(config, coeff_fmt=fmt,
+                       input_fmt=fmt).exact_mac_cells
+    cell_accum, cell_events = run(config)
     assert np.array_equal(cell_accum.view(np.uint64),
                           oracle_accum.view(np.uint64))
     assert cell_events == oracle_events
@@ -425,7 +453,7 @@ def test_mac_cells_match_per_tile_oracle(case, frac_bits):
 @given(case=_cell_cases(), reduce_op=st.sampled_from(["min", "max"]),
        frontier_kind=st.sampled_from(["none", "empty", "full", "random"]))
 def test_addop_cells_match_per_tile_oracle(case, reduce_op,
-                                           frontier_kind):
+                                           frontier_kind, forced_tiles):
     graph, config, bounds, rnd = case
     n = graph.num_vertices
     fmt = FixedPointFormat(16, 0)
@@ -451,39 +479,45 @@ def test_addop_cells_match_per_tile_oracle(case, reduce_op,
                                     for _ in range(n)], dtype=bool),
                 }[frontier_kind]
 
-    def run(batch_size):
-        engine = GraphEngine(config, coeff_fmt=fmt, input_fmt=fmt)
-        if batch_size:
-            assert engine.exact_addop_cells
+    def run(scan_config):
+        engine = GraphEngine(scan_config, coeff_fmt=fmt, input_fmt=fmt)
+        if engine.exact_addop_cells:
             _forbid_tiles(engine)
         accum = padded.copy()
         events = _scan_all(
-            graph, config, bounds, coefficients,
+            graph, scan_config, bounds, coefficients,
             lambda streamer, coeffs: run_addop_scan(
                 streamer, engine, padded, accum, coeffs, absent,
-                frontier=frontier, batch_size=batch_size,
-                reduce_op=reduce_op))
+                frontier=frontier, reduce_op=reduce_op))
         return accum, events
 
-    oracle_accum, oracle_events = run(0)
-    cell_accum, cell_events = run(256)
+    with forced_tiles():
+        oracle_accum, oracle_events = run(
+            config.with_overrides(functional_batch_size=1))
+    assert GraphEngine(config, coeff_fmt=fmt,
+                       input_fmt=fmt).exact_addop_cells
+    cell_accum, cell_events = run(config)
     assert np.array_equal(cell_accum.view(np.uint64),
                           oracle_accum.view(np.uint64))
     assert cell_events == oracle_events
 
 
-def test_edgeless_partition_counts_no_subgraph():
+def test_edgeless_partition_counts_no_subgraph(forced_tiles):
     """An empty stripe streams nothing on either path (its streamer's
     ``num_nonempty_subgraphs`` reads 1, which must not leak in)."""
     graph = Graph.from_edges([(0, 1, 1.0), (2, 1, 1.0)], num_vertices=8,
                              weighted=True)
-    config = _config(4)
+    config = _config(1)
     empty = partition_by_destination(graph, [(4, 8)], config)[0]
     fmt = FixedPointFormat(16, 8)
-    for batch_size in (0, 4):
+    length = _padded_length(graph, config)
+
+    def scan():
         engine = GraphEngine(config, coeff_fmt=fmt, input_fmt=fmt)
-        length = _padded_length(graph, config)
-        events = run_mac_scan(empty.streamer, engine, np.ones(length),
-                              np.zeros(length), np.zeros(0),
-                              batch_size=batch_size)
+        return run_mac_scan(empty.streamer, engine, np.ones(length),
+                            np.zeros(length), np.zeros(0))
+
+    with forced_tiles():
+        tiles = scan()
+    for events in (tiles, scan()):
         assert events.subgraphs == 0 and events.tiles == 0

@@ -111,6 +111,15 @@ class TestRuntimeCommands:
         assert payload["seconds"] > 0
         assert "crossbar_write" in payload["energy_breakdown"]
 
+    @pytest.mark.parametrize("batch_size", ["0", "-1"])
+    def test_nonpositive_batch_size_is_an_error_exit(self, capsys,
+                                                     batch_size):
+        assert main(["run", "pagerank", "WV", "--mode", "functional",
+                     "--batch-size", batch_size]) == 2
+        err = capsys.readouterr().err
+        assert "error: functional_batch_size must be positive" in err
+        assert "Traceback" not in err
+
     def test_run_cached(self, capsys, tmp_path):
         args = ["run", "spmv", "WV", "--json",
                 "--cache-dir", str(tmp_path)]

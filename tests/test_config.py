@@ -72,6 +72,16 @@ class TestValidation:
         with pytest.raises(ConfigError):
             GraphRConfig(noise_sigma=-0.5)
 
+    @pytest.mark.parametrize("batch_size", [0, -3])
+    def test_batch_size_must_be_positive(self, batch_size):
+        with pytest.raises(ConfigError,
+                           match="functional_batch_size must be positive"):
+            GraphRConfig(functional_batch_size=batch_size)
+        with pytest.raises(ConfigError):
+            GraphRConfig.from_dict({"functional_batch_size": batch_size})
+        assert GraphRConfig(functional_batch_size=1) \
+            .functional_batch_size == 1
+
     def test_bad_iterations(self):
         with pytest.raises(ConfigError):
             GraphRConfig(max_iterations=0)

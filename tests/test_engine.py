@@ -1,5 +1,6 @@
 """Unit tests for the functional graph engine, including equivalence to
-the device-level chain (crossbar + shift-add)."""
+the device-level chain (crossbar + shift-add).  Single tiles are
+batches of one."""
 
 from __future__ import annotations
 
@@ -25,13 +26,27 @@ def engine(cfg):
     return GraphEngine(cfg)
 
 
+def _mac(engine, tile, inputs):
+    """One tile's parallel-MAC presentation, as a batch of one."""
+    out, events = engine.mac_batch(np.asarray(tile)[None],
+                                   np.asarray(inputs)[None])
+    return out[0], events
+
+
+def _addop(engine, weights, source, absent):
+    """One tile's parallel-add-op presentations, as a batch of one."""
+    out, events = engine.addop_batch(np.asarray(weights)[None],
+                                     np.asarray(source)[None], absent)
+    return out[0], events
+
+
 class TestMACTile:
     def test_exact_on_representable_values(self, cfg):
         fmt = FixedPointFormat(16, 8)
         engine = GraphEngine(cfg, coeff_fmt=fmt, input_fmt=fmt)
         tile = np.array([[0.5, 0.25], [1.0, 0.0]])
         inputs = np.array([2.0, 4.0])
-        out, events = engine.mac_tile(tile, inputs)
+        out, events = _mac(engine, tile, inputs)
         assert np.allclose(out, inputs @ tile)
         assert events.tiles == 1
         assert events.presentations == 1
@@ -40,19 +55,19 @@ class TestMACTile:
         engine = GraphEngine(cfg)
         tile = rng.random((4, 8)) * 0.1
         inputs = rng.random(4) * 0.1
-        out, _ = engine.mac_tile(tile, inputs)
+        out, _ = _mac(engine, tile, inputs)
         assert np.allclose(out, inputs @ tile, atol=1e-3)
 
     def test_shape_mismatch(self, engine):
         with pytest.raises(DeviceError):
-            engine.mac_tile(np.zeros((4, 4)), np.zeros(3))
+            _mac(engine, np.zeros((4, 4)), np.zeros(3))
 
     def test_events_count_nonempty_crossbar_tiles(self, cfg):
         engine = GraphEngine(cfg)
         # 4 x 8 tile = two 4x4 crossbar tiles; only the right one used.
         tile = np.zeros((4, 8))
         tile[1, 6] = 0.5
-        _, events = engine.mac_tile(tile, np.ones(4))
+        _, events = _mac(engine, tile, np.ones(4))
         assert events.tiles == 1
         assert events.touched_rows == 1
 
@@ -63,7 +78,7 @@ class TestMACTile:
         tile = rng.integers(0, 200, (4, 4)) / 256.0
         inputs = rng.integers(0, 100, 4) / 256.0
 
-        out_engine, _ = engine.mac_tile(tile, inputs)
+        out_engine, _ = _mac(engine, tile, inputs)
 
         # Device chain: four 4-bit slice crossbars, recombined.
         cell_bits = cfg.technology.reram.cell_bits
@@ -91,8 +106,7 @@ class TestAddOpTile:
         w[0, 1] = 5.0
         w[2, 3] = 2.0
         source = np.array([10.0, absent, 1.0, absent])
-        out, events = engine.addop_tile(w, source, np.array([0, 2]),
-                                        absent)
+        out, events = _addop(engine, w, source, absent)
         assert out[1] == 15.0          # 10 + 5
         assert out[3] == 3.0           # 1 + 2
         assert out[0] == absent
@@ -108,14 +122,15 @@ class TestAddOpTile:
         w = np.full((4, 4), m)
         w[0] = [m, 1, 5, m]
         source = np.array([4.0, m, m, m])
-        out, _ = engine.addop_tile(w, source, np.array([0]), m)
+        out, _ = _addop(engine, w, source, m)
         candidates = np.minimum(np.array([7.0, 6.0, m, m]), out)
         assert np.array_equal(candidates, [7, 5, 9, m])
 
     def test_no_active_rows(self, cfg):
         engine = GraphEngine(cfg)
-        out, events = engine.addop_tile(np.full((4, 4), 9.0),
-                                        np.zeros(4), np.array([]), 9.0)
+        # Every cell holds the absent value, so no row is presented.
+        out, events = _addop(engine, np.full((4, 4), 9.0), np.zeros(4),
+                             9.0)
         assert np.all(out == 9.0)
         assert events.presentations == 0
 
@@ -126,22 +141,14 @@ class TestAddOpTile:
         absent = 100.0
         w = np.full((2, 2), absent)
         w[0, 0] = 99.0
-        out, _ = engine.addop_tile(w, np.array([50.0, absent]),
-                                   np.array([0]), absent)
+        out, _ = _addop(engine, w, np.array([50.0, absent]), absent)
         # 99 + 50 saturates at the absent value, not beyond.
         assert out[0] == absent
-
-    def test_bad_active_row(self, cfg):
-        engine = GraphEngine(cfg)
-        with pytest.raises(DeviceError):
-            engine.addop_tile(np.zeros((2, 2)), np.zeros(2),
-                              np.array([5]), 9.0)
 
     def test_shape_mismatch(self, cfg):
         engine = GraphEngine(cfg)
         with pytest.raises(DeviceError):
-            engine.addop_tile(np.zeros((2, 2)), np.zeros(3),
-                              np.array([0]), 9.0)
+            _addop(engine, np.zeros((2, 2)), np.zeros(3), 9.0)
 
 
 class TestNoise:
@@ -149,12 +156,12 @@ class TestNoise:
         noisy_cfg = cfg.with_overrides(noise_sigma=2.0)
         tile = rng.random((4, 8)) * 0.1
         inputs = rng.random(4)
-        clean, _ = GraphEngine(cfg).mac_tile(tile, inputs)
-        noisy, _ = GraphEngine(noisy_cfg).mac_tile(tile, inputs)
+        clean, _ = _mac(GraphEngine(cfg), tile, inputs)
+        noisy, _ = _mac(GraphEngine(noisy_cfg), tile, inputs)
         assert not np.array_equal(clean, noisy)
 
     def test_noise_output_never_negative(self, cfg):
         noisy_cfg = cfg.with_overrides(noise_sigma=100.0)
         engine = GraphEngine(noisy_cfg)
-        out, _ = engine.mac_tile(np.zeros((4, 8)), np.zeros(4))
+        out, _ = _mac(engine, np.zeros((4, 8)), np.zeros(4))
         assert np.all(out >= 0)

@@ -78,8 +78,8 @@ class TestEngineVariation:
         varied = cfg.with_overrides(programming_sigma=0.2)
         tile = rng.random((4, 8)) * 0.1
         inputs = rng.random(4) * 0.1
-        clean, _ = GraphEngine(cfg).mac_tile(tile, inputs)
-        noisy, _ = GraphEngine(varied).mac_tile(tile, inputs)
+        clean, _ = GraphEngine(cfg).mac_batch(tile[None], inputs[None])
+        noisy, _ = GraphEngine(varied).mac_batch(tile[None], inputs[None])
         assert not np.allclose(clean, noisy)
 
     def test_ir_drop_reduces_sums(self, rng):
@@ -88,8 +88,9 @@ class TestEngineVariation:
         dropped = cfg.with_overrides(ir_drop_alpha=0.3)
         tile = np.full((4, 8), 0.1)
         inputs = np.full(4, 0.1)
-        clean, _ = GraphEngine(cfg).mac_tile(tile, inputs)
-        lossy, _ = GraphEngine(dropped).mac_tile(tile, inputs)
+        clean, _ = GraphEngine(cfg).mac_batch(tile[None], inputs[None])
+        lossy, _ = GraphEngine(dropped).mac_batch(tile[None],
+                                                  inputs[None])
         assert np.all(lossy <= clean + 1e-12)
         assert lossy.sum() < clean.sum()
 

@@ -204,7 +204,8 @@ class TestPPRReference:
 
 
 class TestAcceleratorEquivalence:
-    """Reference vs functional device chain, batched vs per-tile."""
+    """Reference vs functional device chain, and every batch size vs
+    the tile path at a batch size of one."""
 
     def test_kcore_functional_is_exact(self, weighted_graph):
         reference = kcore_reference(weighted_graph, k=3)
@@ -232,9 +233,10 @@ class TestAcceleratorEquivalence:
         ("ppr", {"source": 0}),
     ])
     def test_batched_matches_per_tile(self, weighted_graph, algorithm,
-                                      kwargs):
-        loop, loop_stats = GraphR(functional_config(0)).run(
-            algorithm, weighted_graph, **kwargs)
+                                      kwargs, forced_tiles):
+        with forced_tiles():
+            loop, loop_stats = GraphR(functional_config(1)).run(
+                algorithm, weighted_graph, **kwargs)
         for batch_size in (1, 7, 512):
             batched, stats = GraphR(functional_config(batch_size)).run(
                 algorithm, weighted_graph, **kwargs)

@@ -1,5 +1,11 @@
-"""Direct unit tests for the MAC and add-op iteration mappers, with
-hand-computed expectations on tiny graphs."""
+"""Direct unit tests for the MAC and add-op mappers, with hand-computed
+expectations on tiny graphs.
+
+MAC passes run through :class:`PartitionedFunctionalRunner` on one
+whole-graph partition (properties after ``apply``, and the pass's
+merged events); add-op passes start from hand-picked labels and
+frontiers, so they drive :func:`run_addop_scan` directly (the folded
+register and the scan's events)."""
 
 from __future__ import annotations
 
@@ -9,13 +15,13 @@ import pytest
 from repro.algorithms.pagerank import PageRankProgram
 from repro.algorithms.spmv import SpMVProgram
 from repro.algorithms.sssp import INFINITY, SSSPProgram
-from repro.core.addop_mapper import run_addop_iteration
+from repro.core.addop_mapper import run_addop_scan
 from repro.core.config import GraphRConfig
-from repro.core.engine import GraphEngine
-from repro.core.mac_mapper import run_mac_iteration
+from repro.core.partitioned import (GraphPartition,
+                                    PartitionedFunctionalRunner,
+                                    engine_for_program)
 from repro.core.streaming import SubgraphStreamer
 from repro.graph.graph import Graph
-from repro.reram.fixed_point import FixedPointFormat
 
 
 @pytest.fixture
@@ -23,14 +29,40 @@ def cfg():
     return GraphRConfig(crossbar_size=4, crossbars_per_ge=8, num_ges=1)
 
 
-def _mac_engine(cfg, frac=15):
-    fmt = FixedPointFormat(16, frac)
-    return GraphEngine(cfg, coeff_fmt=fmt, input_fmt=fmt)
+def _mac_pass(cfg, program, graph, **program_kwargs):
+    """One functional MAC pass: ``(new_properties, events)``."""
+    whole = GraphPartition(index=0, graph=graph,
+                           streamer=SubgraphStreamer(graph, cfg),
+                           col_lo=0, col_hi=graph.num_vertices)
+    runner = PartitionedFunctionalRunner(
+        cfg, program, graph.num_vertices, graph_view=graph,
+        out_degrees=graph.out_degrees(), partitions=lambda: (whole,))
+    passes = []
+
+    def charge(merged, per_partition):
+        passes.append(merged)
+        return 0.0
+
+    result, _ = runner.run(charge, max_iterations=1, **program_kwargs)
+    return result.values, passes[0]
 
 
-def _min_engine(cfg):
-    fmt = FixedPointFormat(16, 0)
-    return GraphEngine(cfg, coeff_fmt=fmt, input_fmt=fmt)
+def _addop_pass(cfg, program, graph, props, frontier):
+    """One add-op scan from ``props``: ``(new_properties, changed,
+    events)``."""
+    n = graph.num_vertices
+    absent = float(program.reduce_identity)
+    streamer = SubgraphStreamer(graph, cfg)
+    padded = np.full(streamer.ordering.padded_vertices + cfg.tile_cols,
+                     absent)
+    padded[:n] = props
+    accum = padded.copy()
+    events = run_addop_scan(
+        streamer, engine_for_program(cfg, program), padded, accum,
+        program.crossbar_coefficient(graph), absent, frontier=frontier,
+        reduce_op=program.reduce_op)
+    new_props = accum[:n]
+    return new_props, program.improved(new_props, props), events
 
 
 class TestMACMapper:
@@ -38,11 +70,8 @@ class TestMACMapper:
         # 0 -> 1 with outdeg(0)=1: rank flows damped to vertex 1.
         graph = Graph.from_edges([(0, 1)], num_vertices=4)
         program = PageRankProgram(damping=0.8)
-        streamer = SubgraphStreamer(graph, cfg)
-        props = program.initial_properties(graph)      # 0.25 each
-        coeffs = program.crossbar_coefficient(graph)   # [0.8]
-        new_props, changed, events = run_mac_iteration(
-            streamer, _mac_engine(cfg), program, graph, props, coeffs)
+        # Initial ranks are 0.25 each; the coefficient is 0.8.
+        new_props, events = _mac_pass(cfg, program, graph)
         teleport = 0.2 / 4
         assert new_props[1] == pytest.approx(teleport + 0.8 * 0.25,
                                              abs=1e-3)
@@ -54,23 +83,12 @@ class TestMACMapper:
         # Star 0 -> {1,2,3}: each gets x0 * (1/3).
         graph = Graph.from_edges([(0, 1), (0, 2), (0, 3)],
                                  num_vertices=4)
-        program = SpMVProgram()
-        streamer = SubgraphStreamer(graph, cfg)
-        props = np.array([3.0, 0.0, 0.0, 0.0])
-        coeffs = program.crossbar_coefficient(graph)
-        engine = _mac_engine(cfg, frac=8)
-        new_props, _, _ = run_mac_iteration(
-            streamer, engine, program, graph, props, coeffs)
+        new_props, _ = _mac_pass(cfg, SpMVProgram(), graph,
+                                 x=np.array([3.0, 0.0, 0.0, 0.0]))
         assert np.allclose(new_props[1:], 1.0, atol=1e-2)
 
     def test_events_scanned_edges_set(self, cfg, small_graph):
-        program = SpMVProgram()
-        streamer = SubgraphStreamer(small_graph, cfg)
-        props = program.initial_properties(small_graph)
-        coeffs = program.crossbar_coefficient(small_graph)
-        _, _, events = run_mac_iteration(
-            streamer, _mac_engine(cfg, frac=8), program, small_graph,
-            props, coeffs)
+        _, events = _mac_pass(cfg, SpMVProgram(), small_graph)
         assert events.scanned_edges == small_graph.num_edges
         assert events.edges == small_graph.num_edges
 
@@ -81,13 +99,9 @@ class TestAddOpMapper:
         graph = Graph.from_edges([(0, 1, 5.0)], num_vertices=4,
                                  weighted=True)
         program = SSSPProgram(source=0)
-        streamer = SubgraphStreamer(graph, cfg)
         props = program.initial_properties(graph)
-        coeffs = program.crossbar_coefficient(graph)
-        frontier = props != INFINITY
-        new_props, changed, events = run_addop_iteration(
-            streamer, _min_engine(cfg), program, graph, props, coeffs,
-            frontier=frontier)
+        new_props, changed, events = _addop_pass(
+            cfg, program, graph, props, frontier=props != INFINITY)
         assert new_props[1] == 5.0
         assert changed[1]
         assert not changed[0]
@@ -98,13 +112,10 @@ class TestAddOpMapper:
         graph = Graph.from_edges([(0, 2, 10.0)], num_vertices=4,
                                  weighted=True)
         program = SSSPProgram(source=0)
-        streamer = SubgraphStreamer(graph, cfg)
         props = np.array([0.0, INFINITY, 4.0, INFINITY])
-        coeffs = program.crossbar_coefficient(graph)
         frontier = np.array([True, False, False, False])
-        new_props, changed, _ = run_addop_iteration(
-            streamer, _min_engine(cfg), program, graph, props, coeffs,
-            frontier=frontier)
+        new_props, changed, _ = _addop_pass(cfg, program, graph, props,
+                                            frontier)
         # 0 + 10 = 10 loses against the existing 4.
         assert new_props[2] == 4.0
         assert not changed[2]
@@ -113,27 +124,21 @@ class TestAddOpMapper:
         graph = Graph.from_edges([(0, 1, 2.0), (2, 3, 1.0)],
                                  num_vertices=4, weighted=True)
         program = SSSPProgram(source=0)
-        streamer = SubgraphStreamer(graph, cfg)
         props = np.array([0.0, INFINITY, 0.0, INFINITY])
-        coeffs = program.crossbar_coefficient(graph)
         frontier = np.array([True, False, False, False])
-        new_props, changed, events = run_addop_iteration(
-            streamer, _min_engine(cfg), program, graph, props, coeffs,
-            frontier=frontier)
+        new_props, changed, events = _addop_pass(cfg, program, graph,
+                                                 props, frontier)
         assert new_props[1] == 2.0
         assert new_props[3] == INFINITY   # source 2 inactive
         assert events.edges == 1
 
     def test_empty_frontier_is_identity(self, cfg, small_weighted_graph):
         program = SSSPProgram(source=0)
-        streamer = SubgraphStreamer(small_weighted_graph, cfg)
         props = program.initial_properties(small_weighted_graph)
-        coeffs = program.crossbar_coefficient(small_weighted_graph)
         frontier = np.zeros(small_weighted_graph.num_vertices,
                             dtype=bool)
-        new_props, changed, events = run_addop_iteration(
-            streamer, _min_engine(cfg), program, small_weighted_graph,
-            props, coeffs, frontier=frontier)
+        new_props, changed, events = _addop_pass(
+            cfg, program, small_weighted_graph, props, frontier)
         assert np.array_equal(new_props, props)
         assert not changed.any()
         assert events.edges == 0

@@ -94,12 +94,12 @@ class TestBatchRunner:
 
         # A different batch size re-simulates (config key changes) but
         # must land on bit-identical stats.
-        per_tile = BatchRunner(cache_dir=tmp_path).run_jobs([Job(
+        rebatched = BatchRunner(cache_dir=tmp_path).run_jobs([Job(
             "pagerank", "WV",
-            config=config.with_overrides(functional_batch_size=0),
+            config=config.with_overrides(functional_batch_size=7),
             run_kwargs={"max_iterations": 5})])[0]
-        assert not per_tile.from_cache
-        assert per_tile.stats.identity_dict() == \
+        assert not rebatched.from_cache
+        assert rebatched.stats.identity_dict() == \
             fresh.stats.identity_dict()
 
     def test_parallel_functional_matches_serial(self):

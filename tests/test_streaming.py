@@ -161,6 +161,32 @@ class TestFunctionalAnalyticConsistency:
         assert events.tiles == len(tiles)
         assert events.touched_rows == len(rows)
 
+    @pytest.mark.parametrize("mode,device,built", [
+        ("analytic", {}, False),
+        ("functional", {}, False),
+        ("functional", {"noise_sigma": 0.3}, True),
+    ], ids=["analytic", "clean-functional", "noisy-functional"])
+    @pytest.mark.parametrize("algorithm,kwargs", [
+        ("pagerank", {"max_iterations": 3}), ("sssp", {"source": 0})])
+    def test_crossbar_index_built_only_for_tile_batches(
+            self, small_weighted_graph, mode, device, built, algorithm,
+            kwargs):
+        """Only the tile path reads the crossbar index, so analytic and
+        clean functional runs never build it."""
+        from repro.algorithms.registry import get_program
+        from repro.core.controller import Controller
+
+        cfg = GraphRConfig(crossbar_size=4, crossbars_per_ge=8,
+                           num_ges=2, mode=mode, **device)
+        program = get_program(algorithm, **{
+            k: v for k, v in kwargs.items() if k == "source"})
+        controller = Controller(cfg, small_weighted_graph, program)
+        if mode == "analytic":
+            controller.run_analytic(**kwargs)
+        else:
+            controller.run_functional(**kwargs)
+        assert (controller.streamer._crossbars is not None) is built
+
     def test_counts_scale_with_graph(self):
         cfg = GraphRConfig(crossbar_size=4, crossbars_per_ge=8, num_ges=2)
         small = SubgraphStreamer(rmat(6, 100, seed=1), cfg)
